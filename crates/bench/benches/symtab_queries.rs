@@ -43,12 +43,12 @@ fn queries(c: &mut Criterion) {
     let mut group = c.benchmark_group("expr");
     let parsed = DebugExpr::parse("((a % 8'h2) == 8'h1) & (_cond_0 & ~(flag))").expect("parses");
     let resolve = |name: &str| {
-        Some(match name {
+        Some(bits::Bits4::known(match name {
             "a" => bits::Bits::from_u64(5, 8),
             "_cond_0" => bits::Bits::from_bool(true),
             "flag" => bits::Bits::from_bool(false),
             _ => return None,
-        })
+        }))
     };
     group.bench_function("parse_enable", |b| {
         b.iter(|| DebugExpr::parse("((a % 8'h2) == 8'h1) & (_cond_0 & ~(flag))").expect("parses"))

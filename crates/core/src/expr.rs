@@ -12,11 +12,11 @@
 //! nonzero value as true — matching what a software debugger user
 //! expects to type.
 //!
-//! Evaluation is four-state native ([`DebugExpr::eval4`]): signal
-//! values carry their unknown planes, literals may contain `x`/`z`
-//! digits (`0bx1z0`, `32'hxxxx_beef`), and operators follow the
-//! simulator's X-propagation rules. The two-state [`DebugExpr::eval`]
-//! wraps it for contexts where an unknown result is an error.
+//! Evaluation ([`DebugExpr::eval`]) is four-state: signal values carry
+//! their unknown planes, literals may contain `x`/`z` digits
+//! (`0bx1z0`, `32'hxxxx_beef`), and operators follow the simulator's
+//! X-propagation rules. A caller that needs a two-state value checks
+//! the result itself with [`Bits4::to_known`].
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -159,27 +159,6 @@ impl DebugExpr {
         Ok(e)
     }
 
-    /// Evaluates against a two-state resolver. The result must come
-    /// out fully known: an `x`/`z` literal that survives into the value
-    /// is an error here (use [`DebugExpr::eval4`] where unknowns are
-    /// meaningful — the runtime's condition and watch paths do).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExprError::Unresolved`] for unknown names or
-    /// [`ExprError::Invalid`] for bad slices and for results carrying
-    /// `x`/`z` bits.
-    pub fn eval(&self, resolve: &dyn Fn(&str) -> Option<Bits>) -> Result<Bits, ExprError> {
-        let v = self.eval4(&|name| resolve(name).map(Bits4::known))?;
-        match v.to_known() {
-            Some(k) => Ok(k.clone()),
-            None => Err(ExprError::Invalid(format!(
-                "value {} has x/z bits in a two-state context",
-                v.to_literal()
-            ))),
-        }
-    }
-
     /// Evaluates against a four-state resolver. Unknown bits propagate
     /// by the same rules the simulator uses: known-dominant `&`/`|`,
     /// comparisons that go `x` unless decided by mutually-known bits,
@@ -189,14 +168,14 @@ impl DebugExpr {
     ///
     /// Returns [`ExprError::Unresolved`] for unknown names or
     /// [`ExprError::Invalid`] for bad slices.
-    pub fn eval4(&self, resolve: &dyn Fn(&str) -> Option<Bits4>) -> Result<Bits4, ExprError> {
+    pub fn eval(&self, resolve: &dyn Fn(&str) -> Option<Bits4>) -> Result<Bits4, ExprError> {
         match self {
             DebugExpr::Lit(b) => Ok(b.clone()),
             DebugExpr::Ref(name) => {
                 resolve(name).ok_or_else(|| ExprError::Unresolved(name.clone()))
             }
             DebugExpr::Unary(op, e) => {
-                let v = e.eval4(resolve)?;
+                let v = e.eval(resolve)?;
                 Ok(match op {
                     UnOp::Not => v.not(),
                     UnOp::LNot => match v.truthiness() {
@@ -210,25 +189,25 @@ impl DebugExpr {
                 })
             }
             DebugExpr::Binary(op, l, r) => {
-                let a = l.eval4(resolve)?;
-                let b = r.eval4(resolve)?;
+                let a = l.eval(resolve)?;
+                let b = r.eval(resolve)?;
                 Ok(apply_bin4(*op, &a, &b))
             }
-            DebugExpr::Mux(s, t, e) => match s.eval4(resolve)?.truthiness() {
-                Some(true) => t.eval4(resolve),
-                Some(false) => e.eval4(resolve),
+            DebugExpr::Mux(s, t, e) => match s.eval(resolve)?.truthiness() {
+                Some(true) => t.eval(resolve),
+                Some(false) => e.eval(resolve),
                 // An x select merges both arms: agreeing known bits
                 // survive, everything else goes x — the simulator's
                 // X-select semantics (IEEE-1800 §11.4.11).
                 None => {
-                    let tv = t.eval4(resolve)?;
-                    let ev = e.eval4(resolve)?;
+                    let tv = t.eval(resolve)?;
+                    let ev = e.eval(resolve)?;
                     let w = tv.width().max(ev.width());
                     Ok(Bits4::merge(&tv.resize(w), &ev.resize(w)))
                 }
             },
             DebugExpr::Slice(e, hi, lo) => {
-                let v = e.eval4(resolve)?;
+                let v = e.eval(resolve)?;
                 if *hi < *lo || *hi >= v.width() {
                     return Err(ExprError::Invalid(format!(
                         "slice [{hi}:{lo}] out of width {}",
@@ -238,8 +217,8 @@ impl DebugExpr {
                 Ok(v.slice(*hi, *lo))
             }
             DebugExpr::Cat(h, l) => {
-                let hv = h.eval4(resolve)?;
-                let lv = l.eval4(resolve)?;
+                let hv = h.eval(resolve)?;
+                let lv = l.eval(resolve)?;
                 Ok(hv.concat(&lv))
             }
         }
@@ -619,20 +598,22 @@ impl Parser {
 mod tests {
     use super::*;
 
-    fn resolve<'a>(pairs: &'a [(&'a str, u64, u32)]) -> impl Fn(&str) -> Option<Bits> + 'a {
+    fn resolve<'a>(pairs: &'a [(&'a str, u64, u32)]) -> impl Fn(&str) -> Option<Bits4> + 'a {
         move |name| {
             pairs
                 .iter()
                 .find(|(n, _, _)| *n == name)
-                .map(|(_, v, w)| Bits::from_u64(*v, *w))
+                .map(|(_, v, w)| Bits4::known(Bits::from_u64(*v, *w)))
         }
     }
 
     fn eval(src: &str, pairs: &[(&str, u64, u32)]) -> u64 {
-        DebugExpr::parse(src)
+        let v = DebugExpr::parse(src)
             .unwrap_or_else(|e| panic!("parse {src:?}: {e}"))
             .eval(&resolve(pairs))
-            .unwrap_or_else(|e| panic!("eval {src:?}: {e}"))
+            .unwrap_or_else(|e| panic!("eval {src:?}: {e}"));
+        v.to_known()
+            .unwrap_or_else(|| panic!("eval {src:?}: {v} has x/z bits"))
             .to_u64()
     }
 
@@ -760,7 +741,8 @@ mod tests {
         let text = ir.to_string();
         let parsed = DebugExpr::parse(&text).unwrap();
         let env = [("data_0", 5, 8), ("_cond_1", 1, 1)];
-        assert_eq!(parsed.eval(&resolve(&env)).unwrap().to_u64(), 1);
+        let v = parsed.eval(&resolve(&env)).unwrap();
+        assert_eq!(v.to_known().unwrap().to_u64(), 1);
     }
 
     #[test]
@@ -784,7 +766,7 @@ mod tests {
     fn eval4(src: &str, pairs: &[(&str, &str)]) -> Bits4 {
         DebugExpr::parse(src)
             .unwrap_or_else(|e| panic!("parse {src:?}: {e}"))
-            .eval4(&resolve4(pairs))
+            .eval(&resolve4(pairs))
             .unwrap_or_else(|e| panic!("eval4 {src:?}: {e}"))
     }
 
@@ -843,14 +825,15 @@ mod tests {
 
     #[test]
     fn two_state_eval_rejects_unknown_results() {
-        // The set_value path parses literals with the two-state eval: a
-        // value that still has x/z bits must be an error, not silently
-        // coerced (x reads as 1 in the value plane).
+        // Two-state contexts (the set_value path) reject a value that
+        // still has x/z bits rather than silently coercing it (x reads
+        // as 1 in the value plane): the result must not read as known.
         let e = DebugExpr::parse("8'hxz").unwrap();
-        assert!(matches!(e.eval(&|_| None), Err(ExprError::Invalid(_))));
+        assert_eq!(e.eval(&|_| None).unwrap().to_known(), None);
         // But x that gets masked away is fine.
         let e = DebugExpr::parse("8'hxz & 8'h00").unwrap();
-        assert_eq!(e.eval(&|_| None).unwrap().to_u64(), 0);
+        let v = e.eval(&|_| None).unwrap();
+        assert_eq!(v.to_known().unwrap().to_u64(), 0);
     }
 
     #[test]

@@ -1076,7 +1076,7 @@ impl<S: SimControl> Runtime<S> {
         let sim = &self.sim;
         watch
             .expr
-            .eval4(&|name: &str| {
+            .eval(&|name: &str| {
                 if let Some(r) = watch.refs.iter().find(|r| r.name == name) {
                     if let Some(id) = r.id {
                         if let Some(v) = sim.get_value4_by_id(id) {
@@ -1176,7 +1176,7 @@ impl<S: SimControl> Runtime<S> {
     /// Parse or resolution failures.
     pub fn eval(&self, instance: Option<&str>, text: &str) -> Result<Bits4, DebugError> {
         let expr = DebugExpr::parse(text)?;
-        expr.eval4(&|name| self.resolve_name(instance, name))
+        expr.eval(&|name| self.resolve_name(instance, name))
             .map_err(DebugError::from)
     }
 
@@ -1247,7 +1247,7 @@ impl<S: SimControl> Runtime<S> {
             // control pre-reset) is *not* active — stopping on a
             // statement that may not execute would be a false positive.
             let enable_result = st.enable.as_ref().map(|enable| {
-                enable.eval4(&|name: &str| resolve_name_fast(sim, prefix, &st.enable_lookups, name))
+                enable.eval(&|name: &str| resolve_name_fast(sim, prefix, &st.enable_lookups, name))
             });
             match enable_result {
                 None => {}
@@ -1279,7 +1279,7 @@ impl<S: SimControl> Runtime<S> {
                         // is_truthy_known: a condition that evaluates
                         // to x (e.g. `count == 8'hff` over an unreset
                         // register) does not stop the run.
-                        Some(cond) => match cond.eval4(&|name: &str| {
+                        Some(cond) => match cond.eval(&|name: &str| {
                             resolve_name_fast(sim, prefix, &ins.cond_lookups, name)
                         }) {
                             Ok(v) if v.is_truthy_known() => matched_owners.push(*owner),

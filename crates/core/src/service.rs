@@ -1199,7 +1199,15 @@ pub fn handle_request<S: SimControl>(
             name,
             value,
         } => {
-            let parsed = crate::expr::DebugExpr::parse(&value).and_then(|e| e.eval(&|_| None));
+            let parsed = crate::expr::DebugExpr::parse(&value).and_then(|e| {
+                let v = e.eval(&|_| None)?;
+                v.to_known().cloned().ok_or_else(|| {
+                    crate::expr::ExprError::Invalid(format!(
+                        "value {} has x/z bits in a two-state context",
+                        v.to_literal()
+                    ))
+                })
+            });
             match parsed {
                 Ok(v) => match runtime.set_variable(instance.as_deref(), &name, v) {
                     Ok(()) => Response::Ok,

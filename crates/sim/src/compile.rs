@@ -4,10 +4,14 @@
 //! is lowered into flat postorder bytecode: a shared `Vec<Op>` over
 //! dense slot indices plus a deduplicated literal pool. Evaluation is a
 //! tight program-counter loop over a preallocated scratch stack — no
-//! per-node boxing, no recursion, and (with the inline `Bits`
-//! representation) zero heap allocation for signals ≤ 64 bits wide.
-//! Mux keeps the tree-walker's lazy semantics through explicit branch
-//! instructions, so only the selected arm is evaluated.
+//! per-node boxing and (with the inline `Bits` representation) zero
+//! heap allocation for signals ≤ 64 bits wide. Mux keeps the
+//! tree-walker's lazy semantics through explicit branch instructions,
+//! so only the selected arm is evaluated.
+//!
+//! There is one executor, [`exec`], generic over the [`Value`] domain:
+//! two-state [`Bits`] or four-state [`Bits4`]. Only an unknown mux
+//! select (four-state) evaluates both arms, recursing into them.
 
 use bits::{Bits, Bits4};
 use hgf_ir::expr::{apply_binary, apply_binary4, apply_unary4, BinaryOp, UnaryOp};
@@ -127,114 +131,193 @@ fn stack_depth(e: &CExpr) -> usize {
     }
 }
 
+/// A simulator value domain: two-state [`Bits`] or four-state
+/// [`Bits4`].
+///
+/// The sweep, latch, commit and bytecode executor are written once
+/// against this trait and monomorphized per domain. The two-state impl
+/// answers every three-valued question with `Some(..)`, so after
+/// inlining the unknown-only arms (x mux select, x address, x reset)
+/// compile away and the two-state instance never touches an unknown
+/// plane.
+pub(crate) trait Value: Clone + PartialEq {
+    /// Whether values carry an unknown plane; decides power-up (four-
+    /// state registers and inputs start all-x).
+    const FOUR_STATE: bool;
+    /// A fully-known value.
+    fn known(b: Bits) -> Self;
+    /// All bits unknown; four-state only.
+    fn all_x(width: u32) -> Self;
+    /// Three-valued truthiness: `None` when unknown bits decide it.
+    fn truthiness(&self) -> Option<bool>;
+    /// The value as a memory index, when fully known.
+    fn known_index(&self) -> Option<usize>;
+    /// The two-state value plane (unknown bits read as 1).
+    fn plane(&self) -> &Bits;
+    /// The value with its unknown plane.
+    fn to4(&self) -> Bits4;
+    /// Approximate footprint in bytes, for snapshot budgeting.
+    fn approx_bytes(&self) -> usize;
+    fn unary(&self, op: UnaryOp) -> Self;
+    fn binary(&self, op: BinaryOp, rhs: &Self) -> Self;
+    fn slice(&self, hi: u32, lo: u32) -> Self;
+    fn concat(&self, low: &Self) -> Self;
+    fn resize(&self, width: u32) -> Self;
+    /// The x-select mux merge of two arms; four-state only.
+    fn merge(a: &Self, b: &Self) -> Self;
+}
+
+/// Bytes a `Bits` occupies: the inline representation plus the word
+/// storage of wide (> 64-bit) values.
+fn bits_bytes(b: &Bits) -> usize {
+    let heap = if b.width() > 64 {
+        (b.width() as usize).div_ceil(8)
+    } else {
+        0
+    };
+    std::mem::size_of::<Bits>() + heap
+}
+
+impl Value for Bits {
+    const FOUR_STATE: bool = false;
+
+    fn known(b: Bits) -> Self {
+        b
+    }
+
+    fn all_x(_width: u32) -> Self {
+        unreachable!("two-state values have no unknown bits")
+    }
+
+    fn truthiness(&self) -> Option<bool> {
+        Some(self.is_truthy())
+    }
+
+    fn known_index(&self) -> Option<usize> {
+        Some(self.to_u64() as usize)
+    }
+
+    fn plane(&self) -> &Bits {
+        self
+    }
+
+    fn to4(&self) -> Bits4 {
+        Bits4::known(self.clone())
+    }
+
+    fn approx_bytes(&self) -> usize {
+        bits_bytes(self)
+    }
+
+    fn unary(&self, op: UnaryOp) -> Self {
+        match op {
+            UnaryOp::Not => self.not(),
+            UnaryOp::Neg => self.neg(),
+            UnaryOp::ReduceAnd => self.reduce_and(),
+            UnaryOp::ReduceOr => self.reduce_or(),
+            UnaryOp::ReduceXor => self.reduce_xor(),
+        }
+    }
+
+    fn binary(&self, op: BinaryOp, rhs: &Self) -> Self {
+        apply_binary(op, self, rhs)
+    }
+
+    fn slice(&self, hi: u32, lo: u32) -> Self {
+        Bits::slice(self, hi, lo)
+    }
+
+    fn concat(&self, low: &Self) -> Self {
+        Bits::concat(self, low)
+    }
+
+    fn resize(&self, width: u32) -> Self {
+        Bits::resize(self, width)
+    }
+
+    fn merge(_a: &Self, _b: &Self) -> Self {
+        unreachable!("two-state mux selects are always known")
+    }
+}
+
+impl Value for Bits4 {
+    const FOUR_STATE: bool = true;
+
+    fn known(b: Bits) -> Self {
+        Bits4::known(b)
+    }
+
+    fn all_x(width: u32) -> Self {
+        Bits4::all_x(width)
+    }
+
+    fn truthiness(&self) -> Option<bool> {
+        Bits4::truthiness(self)
+    }
+
+    fn known_index(&self) -> Option<usize> {
+        self.to_known().map(|a| a.to_u64() as usize)
+    }
+
+    fn plane(&self) -> &Bits {
+        self.value()
+    }
+
+    fn to4(&self) -> Bits4 {
+        self.clone()
+    }
+
+    fn approx_bytes(&self) -> usize {
+        bits_bytes(self.value()) + bits_bytes(self.unknown())
+    }
+
+    fn unary(&self, op: UnaryOp) -> Self {
+        apply_unary4(op, self)
+    }
+
+    fn binary(&self, op: BinaryOp, rhs: &Self) -> Self {
+        apply_binary4(op, self, rhs)
+    }
+
+    fn slice(&self, hi: u32, lo: u32) -> Self {
+        Bits4::slice(self, hi, lo)
+    }
+
+    fn concat(&self, low: &Self) -> Self {
+        Bits4::concat(self, low)
+    }
+
+    fn resize(&self, width: u32) -> Self {
+        Bits4::resize(self, width)
+    }
+
+    fn merge(a: &Self, b: &Self) -> Self {
+        Bits4::merge(a, b)
+    }
+}
+
 /// Executes one compiled range against the current signal values and
 /// memory contents, using (and leaving empty) the scratch stack.
-pub(crate) fn exec(
-    prog: &Program,
-    range: CodeRange,
-    values: &[Bits],
-    mems: &[MemState],
-    stack: &mut Vec<Bits>,
-) -> Bits {
-    debug_assert!(stack.is_empty());
-    let ops = &prog.ops;
-    let mut pc = range.0 as usize;
-    let end = range.1 as usize;
-    while pc < end {
-        match &ops[pc] {
-            Op::Lit(i) => stack.push(prog.lits[*i as usize].clone()),
-            Op::Sig(i) => stack.push(values[*i as usize].clone()),
-            Op::Unary(op) => {
-                let v = stack.last_mut().expect("operand");
-                *v = match op {
-                    UnaryOp::Not => v.not(),
-                    UnaryOp::Neg => v.neg(),
-                    UnaryOp::ReduceAnd => v.reduce_and(),
-                    UnaryOp::ReduceOr => v.reduce_or(),
-                    UnaryOp::ReduceXor => v.reduce_xor(),
-                };
-            }
-            Op::Binary(op) => {
-                let r = stack.pop().expect("rhs");
-                let l = stack.last_mut().expect("lhs");
-                *l = apply_binary(*op, l, &r);
-            }
-            Op::Slice(hi, lo) => {
-                let v = stack.last_mut().expect("operand");
-                *v = v.slice(*hi, *lo);
-            }
-            Op::Cat => {
-                let low = stack.pop().expect("low");
-                let high = stack.last_mut().expect("high");
-                *high = high.concat(&low);
-            }
-            Op::MemRead(m) => {
-                let a = stack.last_mut().expect("address");
-                let mem = &mems[*m as usize];
-                let addr = a.to_u64() as usize;
-                *a = if addr < mem.words.len() {
-                    mem.words[addr].clone()
-                } else {
-                    Bits::zero(mem.width)
-                };
-            }
-            Op::BranchIfZero(target) => {
-                let c = stack.pop().expect("condition");
-                if !c.is_truthy() {
-                    pc = *target as usize;
-                    continue;
-                }
-            }
-            Op::Jump(target) => {
-                pc = *target as usize;
-                continue;
-            }
-        }
-        pc += 1;
-    }
-    stack.pop().expect("result")
-}
-
-/// The four-state signal table during bytecode execution: the
-/// two-state value plane plus the unknown plane.
-pub(crate) struct Planes<'a> {
-    pub(crate) vals: &'a [Bits],
-    pub(crate) unks: &'a [Bits],
-}
-
-impl Planes<'_> {
-    /// The four-state value of slot `i`.
-    #[inline]
-    pub(crate) fn get4(&self, i: usize) -> Bits4 {
-        Bits4::from_planes(self.vals[i].clone(), self.unks[i].clone())
-    }
-}
-
-/// Executes one compiled range in four-state mode and returns the
-/// result. `munks` holds the unknown plane of each memory, parallel to
-/// `mems`.
 ///
-/// The one structural difference from [`exec`] is the branch handling:
-/// a mux whose condition is unknown cannot pick an arm, so both arm
-/// ranges are evaluated (recursively — arms can nest) and merged with
-/// [`Bits4::merge`], per IEEE-1800 §11.4.11. Known conditions keep the
-/// lazy single-arm evaluation.
-pub(crate) fn exec4(
+/// A memory read at an unknown address is all-x (it could alias any
+/// word); one out of range reads zero. A mux whose select is unknown
+/// cannot pick an arm, so both arm ranges are evaluated (recursively —
+/// arms can nest) and merged with [`Value::merge`], per IEEE-1800
+/// §11.4.11. Known selects keep the lazy single-arm evaluation.
+pub(crate) fn exec<V: Value>(
     prog: &Program,
     range: CodeRange,
-    values: &Planes<'_>,
-    mems: &[MemState],
-    munks: &[Vec<Bits>],
-    stack: &mut Vec<Bits4>,
-) -> Bits4 {
+    values: &[V],
+    mems: &[MemState<V>],
+    stack: &mut Vec<V>,
+) -> V {
     debug_assert!(stack.is_empty());
-    exec4_range(
+    exec_range(
         prog,
         range.0 as usize,
         range.1 as usize,
         values,
         mems,
-        munks,
         stack,
     );
     let result = stack.pop().expect("result");
@@ -244,29 +327,28 @@ pub(crate) fn exec4(
 
 /// Runs ops in `[start, end)`, leaving the range's one result value on
 /// the stack.
-fn exec4_range(
+fn exec_range<V: Value>(
     prog: &Program,
     start: usize,
     end: usize,
-    values: &Planes<'_>,
-    mems: &[MemState],
-    munks: &[Vec<Bits>],
-    stack: &mut Vec<Bits4>,
+    values: &[V],
+    mems: &[MemState<V>],
+    stack: &mut Vec<V>,
 ) {
     let ops = &prog.ops;
     let mut pc = start;
     while pc < end {
         match &ops[pc] {
-            Op::Lit(i) => stack.push(Bits4::known(prog.lits[*i as usize].clone())),
-            Op::Sig(i) => stack.push(values.get4(*i as usize)),
+            Op::Lit(i) => stack.push(V::known(prog.lits[*i as usize].clone())),
+            Op::Sig(i) => stack.push(values[*i as usize].clone()),
             Op::Unary(op) => {
                 let v = stack.last_mut().expect("operand");
-                *v = apply_unary4(*op, v);
+                *v = v.unary(*op);
             }
             Op::Binary(op) => {
                 let r = stack.pop().expect("rhs");
                 let l = stack.last_mut().expect("lhs");
-                *l = apply_binary4(*op, l, &r);
+                *l = l.binary(*op, &r);
             }
             Op::Slice(hi, lo) => {
                 let v = stack.last_mut().expect("operand");
@@ -280,20 +362,10 @@ fn exec4_range(
             Op::MemRead(m) => {
                 let a = stack.last_mut().expect("address");
                 let mem = &mems[*m as usize];
-                *a = match a.to_known() {
-                    Some(addr) => {
-                        let addr = addr.to_u64() as usize;
-                        if addr < mem.words.len() {
-                            Bits4::from_planes(
-                                mem.words[addr].clone(),
-                                munks[*m as usize][addr].clone(),
-                            )
-                        } else {
-                            Bits4::known(Bits::zero(mem.width))
-                        }
-                    }
-                    // An unknown address could alias any word.
-                    None => Bits4::all_x(mem.width),
+                *a = match a.known_index() {
+                    Some(addr) if addr < mem.words.len() => mem.words[addr].clone(),
+                    Some(_) => V::known(Bits::zero(mem.width)),
+                    None => V::all_x(mem.width),
                 };
             }
             Op::BranchIfZero(target) => {
@@ -313,11 +385,11 @@ fn exec4_range(
                             Op::Jump(e) => *e as usize,
                             other => unreachable!("mux shape: expected Jump, got {other:?}"),
                         };
-                        exec4_range(prog, pc + 1, else_start - 1, values, mems, munks, stack);
+                        exec_range(prog, pc + 1, else_start - 1, values, mems, stack);
                         let t = stack.pop().expect("then arm");
-                        exec4_range(prog, else_start, arm_end, values, mems, munks, stack);
+                        exec_range(prog, else_start, arm_end, values, mems, stack);
                         let e = stack.pop().expect("else arm");
-                        stack.push(Bits4::merge(&t, &e));
+                        stack.push(V::merge(&t, &e));
                         pc = arm_end;
                         continue;
                     }
@@ -524,13 +596,11 @@ mod tests {
                 })
                 .collect();
             let values: Vec<Bits> = widths.iter().map(|&w| rng.bits(w)).collect();
-            let unks: Vec<Bits> = widths.iter().map(|&w| Bits::zero(w)).collect();
             let mem_width = 1 + rng.below(90) as u32;
             let mems = vec![MemState {
                 width: mem_width,
                 words: (0..8).map(|_| rng.bits(mem_width)).collect(),
             }];
-            let munks = vec![vec![Bits::zero(mem_width); 8]];
             let width = 1 + rng.below(64) as u32;
             let expr = arb_expr(&mut rng, &widths, &mems, width, 4);
 
@@ -538,9 +608,13 @@ mod tests {
             let range = prog.compile(&expr);
             let mut stack = Vec::new();
             let expected = exec(&prog, range, values.as_slice(), &mems, &mut stack);
-            let mut stack4 = Vec::new();
-            let planes = Planes { vals: &values, unks: &unks };
-            let got = exec4(&prog, range, &planes, &mems, &munks, &mut stack4);
+            let values4: Vec<Bits4> = values.iter().cloned().map(Bits4::known).collect();
+            let mems4 = vec![MemState {
+                width: mem_width,
+                words: mems[0].words.iter().cloned().map(Bits4::known).collect(),
+            }];
+            let mut scratch = Vec::new();
+            let got = exec(&prog, range, &values4, &mems4, &mut scratch);
             prop_assert!(got.is_fully_known(), "seed {}", seed);
             prop_assert_eq!(got.to_known().unwrap(), &expected, "seed {}", seed);
         }
@@ -557,26 +631,16 @@ mod tests {
         );
         let mut prog = Program::default();
         let range = prog.compile(&e);
-        let vals = vec![Bits::ones(1)];
-        let unks = vec![Bits::ones(1)]; // sig 0 is x
-        let planes = Planes {
-            vals: &vals,
-            unks: &unks,
-        };
+        let vals = vec![Bits4::all_x(1)]; // sig 0 is x
         let mut stack = Vec::new();
-        let got = exec4(&prog, range, &planes, &[], &[], &mut stack);
+        let got = exec(&prog, range, &vals, &[], &mut stack);
         assert_eq!(got.bit_char(0), '1');
         assert_eq!(got.bit_char(1), 'x');
         assert_eq!(got.bit_char(2), '1');
         // A known select keeps lazy single-arm evaluation and a fully
         // known result.
-        let vals = vec![Bits::zero(1)];
-        let unks = vec![Bits::zero(1)];
-        let planes = Planes {
-            vals: &vals,
-            unks: &unks,
-        };
-        let got = exec4(&prog, range, &planes, &[], &[], &mut stack);
+        let vals = vec![Bits4::known(Bits::zero(1))];
+        let got = exec(&prog, range, &vals, &[], &mut stack);
         assert_eq!(got.to_known().unwrap().to_u64(), 0b101);
     }
 
@@ -597,14 +661,9 @@ mod tests {
         );
         let mut prog = Program::default();
         let range = prog.compile(&e);
-        let vals = vec![Bits::ones(1)];
-        let unks = vec![Bits::ones(1)];
-        let planes = Planes {
-            vals: &vals,
-            unks: &unks,
-        };
+        let vals = vec![Bits4::all_x(1)];
         let mut stack = Vec::new();
-        let got = exec4(&prog, range, &planes, &[], &[], &mut stack);
+        let got = exec(&prog, range, &vals, &[], &mut stack);
         assert_eq!(got.to_known().unwrap().to_u64(), 5, "arms agree => known");
     }
 
@@ -617,36 +676,20 @@ mod tests {
         let range = prog.compile(&e);
         let mems = vec![MemState {
             width: 8,
-            words: vec![Bits::from_u64(0xAB, 8), Bits::from_u64(0xCD, 8)],
+            words: vec![Bits4::known(Bits::from_u64(0xAB, 8)), Bits4::all_x(8)],
         }];
-        let munks = vec![vec![Bits::zero(8), Bits::ones(8)]];
         let mut stack = Vec::new();
         // Unknown address.
-        let vals = vec![Bits::zero(4)];
-        let unks = vec![Bits::ones(4)];
-        let planes = Planes {
-            vals: &vals,
-            unks: &unks,
-        };
-        let got = exec4(&prog, range, &planes, &mems, &munks, &mut stack);
+        let vals = vec![Bits4::all_x(4)];
+        let got = exec(&prog, range, &vals, &mems, &mut stack);
         assert_eq!(got, Bits4::all_x(8));
         // Known address 1 hits the x word.
-        let vals = vec![Bits::from_u64(1, 4)];
-        let unks = vec![Bits::zero(4)];
-        let planes = Planes {
-            vals: &vals,
-            unks: &unks,
-        };
-        let got = exec4(&prog, range, &planes, &mems, &munks, &mut stack);
+        let vals = vec![Bits4::known(Bits::from_u64(1, 4))];
+        let got = exec(&prog, range, &vals, &mems, &mut stack);
         assert!(!got.is_fully_known());
         // Known out-of-range address reads zero, matching 2-state.
-        let vals = vec![Bits::from_u64(9, 4)];
-        let unks = vec![Bits::zero(4)];
-        let planes = Planes {
-            vals: &vals,
-            unks: &unks,
-        };
-        let got = exec4(&prog, range, &planes, &mems, &munks, &mut stack);
+        let vals = vec![Bits4::known(Bits::from_u64(9, 4))];
+        let got = exec(&prog, range, &vals, &mems, &mut stack);
         assert_eq!(got.to_known().unwrap().to_u64(), 0);
     }
 

@@ -146,13 +146,6 @@ pub trait SimControl {
         None
     }
 
-    /// Whether this backend evaluates in four-state (X/Z) mode. When
-    /// `false` (the default), [`SimControl::get_value4`] still works —
-    /// every bit simply reads as known.
-    fn is_four_state(&self) -> bool {
-        false
-    }
-
     /// Primitive 1, four-state form: the value with its unknown plane.
     /// The default wraps [`SimControl::get_value`] as fully known;
     /// four-state backends override it to surface X/Z bits.

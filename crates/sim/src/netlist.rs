@@ -122,11 +122,11 @@ impl CExpr {
     }
 }
 
-/// Simulated memory contents.
+/// Simulated memory contents, in either value domain.
 #[derive(Debug, Clone)]
-pub(crate) struct MemState {
+pub(crate) struct MemState<V = Bits> {
     pub(crate) width: u32,
-    pub(crate) words: Vec<Bits>,
+    pub(crate) words: Vec<V>,
 }
 
 /// A register: signal index, optional compiled next-value expression

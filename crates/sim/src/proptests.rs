@@ -4,7 +4,7 @@
 //! two-state on fully-driven designs, and a mid-run snapshot must
 //! replay bit-identically.
 
-use bits::Bits;
+use bits::{Bits, Bits4};
 use hgf::{CircuitBuilder, Signal};
 use proptest::prelude::*;
 
@@ -196,13 +196,17 @@ proptest! {
 
     /// A mid-run snapshot restored into a fresh engine and replayed
     /// under identical stimulus must be bit-identical to the
-    /// uninterrupted run: every signal every cycle, final memory
-    /// contents, and the eval counter.
+    /// uninterrupted run, in either value domain: every signal every
+    /// cycle and the final memory contents (both planes), and the eval
+    /// counter.
     #[test]
-    fn snapshot_roundtrip_equivalent_on_random_netlists(seed in any::<u64>()) {
+    fn snapshot_roundtrip_equivalent_on_random_netlists(
+        seed in any::<u64>(),
+        four_state in any::<bool>(),
+    ) {
         let mut rng = Rng(seed.wrapping_mul(0x9e6c_7f4a_b958_2d31) | 1);
         let (state, inputs) = build_random_circuit(&mut rng);
-        let mut clean = sim_with(&state, false);
+        let mut clean = sim_with(&state, four_state);
         let paths = clean.signal_paths();
         // Pre-draw the stimulus so every replay pokes identical values.
         let cycles = 12usize;
@@ -224,25 +228,25 @@ proptest! {
         clean.reset(2);
         let snap_at = cycles / 2;
         let mut snap = None;
-        let mut tail_frames: Vec<Vec<Bits>> = Vec::new();
+        let mut tail_frames: Vec<Vec<Bits4>> = Vec::new();
         for t in 0..cycles {
             if t == snap_at {
                 snap = Some(clean.snapshot());
             }
             drive(&mut clean, t);
             if t >= snap_at {
-                tail_frames.push(paths.iter().map(|p| clean.peek(p).unwrap()).collect());
+                tail_frames.push(paths.iter().map(|p| clean.peek4(p).unwrap()).collect());
             }
         }
         let snap = snap.unwrap();
-        let mut replay = sim_with(&state, false);
+        let mut replay = sim_with(&state, four_state);
         replay.restore(&snap).unwrap();
         prop_assert_eq!(replay.time(), snap.time());
         for (k, t) in (snap_at..cycles).enumerate() {
             drive(&mut replay, t);
             for (p, expect) in paths.iter().zip(&tail_frames[k]) {
                 prop_assert_eq!(
-                    &replay.peek(p).unwrap(), expect,
+                    &replay.peek4(p).unwrap(), expect,
                     "cycle {} signal {} diverged after restore (seed {})",
                     t, p, seed
                 );
@@ -252,8 +256,8 @@ proptest! {
             "eval counters diverged after restore (seed {})", seed);
         for addr in 0..16 {
             prop_assert_eq!(
-                replay.peek_mem("rand.m0", addr),
-                clean.peek_mem("rand.m0", addr),
+                replay.peek_mem4("rand.m0", addr),
+                clean.peek_mem4("rand.m0", addr),
                 "memory word {} diverged after restore (seed {})",
                 addr, seed
             );

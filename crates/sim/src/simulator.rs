@@ -19,6 +19,11 @@
 //! therefore costs O(changed cone), not O(design) — and a cycle where
 //! nothing changes (a halted core) costs almost nothing.
 //!
+//! The mutable state lives in one `Core<V>`, generic over the value
+//! domain (`Bits` for two-state, `Bits4` for four-state; see
+//! `compile::Value`). Its sweep, latch and commit are written once;
+//! the simulator holds either instance and dispatches once per call.
+//!
 //! Hot callers should resolve paths once via [`Simulator::signal_id`]
 //! and use [`Simulator::peek_id`] / [`Simulator::poke_id`]; the
 //! string-keyed entry points remain for interactive use.
@@ -28,9 +33,9 @@ use std::cell::{Cell, RefCell};
 use bits::{Bits, Bits4};
 use hgf_ir::Circuit;
 
-use crate::compile::{exec, exec4, Planes};
+use crate::compile::{exec, Value};
 use crate::control::{HierNode, SignalId, SimControl, SimError};
-use crate::netlist::{FlatNetlist, FlatReg, MemState};
+use crate::netlist::{FlatNetlist, MemState};
 
 /// Evaluation-engine configuration for [`Simulator`].
 ///
@@ -95,17 +100,6 @@ impl ClockView<'_> {
         self.sim.peek_id(id)
     }
 
-    /// Four-state value of a signal by interned id. In a two-state
-    /// simulator every bit reads as known.
-    pub fn get_value4_id(&self, id: SignalId) -> Bits4 {
-        self.sim.peek4_id(id)
-    }
-
-    /// Whether this simulator runs the four-state (X/Z) engine.
-    pub fn is_four_state(&self) -> bool {
-        self.sim.is_four_state()
-    }
-
     /// Resolves a path to an id (same interning as the simulator).
     pub fn signal_id(&self, path: &str) -> Option<SignalId> {
         self.sim.signal_id(path)
@@ -120,7 +114,7 @@ impl ClockView<'_> {
 /// Which combinational definitions need re-evaluation, tracked per
 /// def in topological order. `min` bounds the sweep's starting point;
 /// `count` makes the all-clean check O(1).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct DirtySet {
     flags: Vec<bool>,
     count: usize,
@@ -138,42 +132,297 @@ impl DirtySet {
             }
         }
     }
+
+    fn mark_all(&mut self, defs: &[u32]) {
+        for &di in defs {
+            self.mark(di);
+        }
+    }
+
+    /// Copies `src` into `self`, reusing the flag buffer.
+    fn copy_from(&mut self, src: &DirtySet) {
+        self.flags.clone_from(&src.flags);
+        self.count = src.count;
+        self.min = src.min;
+    }
+}
+
+/// The mutable simulation state in one value domain: signal values,
+/// memory contents, the register/memory updates latched at the last
+/// edge, and the executor's scratch stack.
+///
+/// Latching (rather than recomputing at commit time) keeps the edge
+/// deterministic even if the testbench pokes inputs while paused at the
+/// edge. The pending buffers are reused across cycles.
+#[derive(Debug, Clone)]
+struct Core<V> {
+    values: Vec<V>,
+    mems: Vec<MemState<V>>,
+    pending_regs: Vec<(usize, V)>,
+    pending_mems: Vec<(usize, usize, V)>,
+    /// Scratch operand stack for the bytecode executor, preallocated
+    /// to the program's exact worst-case depth. Always empty between
+    /// calls, so snapshots carry no stack contents.
+    stack: Vec<V>,
+}
+
+impl<V: Value> Core<V> {
+    /// Power-up state. Two-state registers start at their reset value
+    /// when they have one. Four-state signals start all-x (registers
+    /// resolve when reset is known true; inputs when first poked), and
+    /// memories power up known-zero in both domains — a documented
+    /// simplification matching SRAM-model convention.
+    fn new(netlist: &FlatNetlist) -> Core<V> {
+        let mut values: Vec<V> = netlist
+            .widths
+            .iter()
+            .map(|&w| {
+                if V::FOUR_STATE {
+                    V::all_x(w)
+                } else {
+                    V::known(Bits::zero(w))
+                }
+            })
+            .collect();
+        if !V::FOUR_STATE {
+            for reg in &netlist.regs {
+                if let Some(init) = &reg.init {
+                    values[reg.sig] = V::known(init.clone());
+                }
+            }
+        }
+        let mems = netlist
+            .mems
+            .iter()
+            .map(|m| MemState {
+                width: m.width,
+                words: m.words.iter().cloned().map(V::known).collect(),
+            })
+            .collect();
+        Core {
+            values,
+            mems,
+            pending_regs: Vec::new(),
+            pending_mems: Vec::new(),
+            stack: Vec::with_capacity(netlist.program.max_stack),
+        }
+    }
+
+    /// The incremental levelized sweep to the zero-delay fixpoint:
+    /// marked definitions execute in topological order, and one whose
+    /// output is unchanged does not wake its fan-out. Returns the
+    /// number of definitions executed.
+    fn sweep(&mut self, nl: &FlatNetlist, dirty: &mut DirtySet) -> u64 {
+        let n = nl.defs.len();
+        let mut evals = 0;
+        let mut di = dirty.min;
+        while di < n && dirty.count > 0 {
+            if dirty.flags[di] {
+                dirty.flags[di] = false;
+                dirty.count -= 1;
+                let def = &nl.defs[di];
+                let new = exec(
+                    &nl.program,
+                    def.code,
+                    &self.values,
+                    &self.mems,
+                    &mut self.stack,
+                );
+                evals += 1;
+                if replace(&mut self.values[def.sig], new) {
+                    // Fan-out defs are topologically later, so the
+                    // forward sweep will reach them this pass.
+                    dirty.mark_all(&nl.sig_fanout[def.sig]);
+                }
+            }
+            di += 1;
+        }
+        dirty.min = n;
+        debug_assert_eq!(dirty.count, 0, "sweep left dirty defs behind");
+        dirty.count = 0;
+        evals
+    }
+
+    /// Latches register updates and memory writes from the current
+    /// stable values (non-blocking semantics); committed at the start
+    /// of the next edge. Reset is three-valued:
+    ///
+    /// * known true — a register with an init loads it; one without
+    ///   follows its next expression (the bug class lint L006 flags,
+    ///   and exactly what an x sweep makes visible). Write ports are
+    ///   disabled.
+    /// * known false — next expressions and write ports run.
+    /// * unknown — every register latches all-x and write ports are
+    ///   skipped (memory holds), the conservative reading.
+    ///
+    /// A write port whose enable is unknown clobbers the addressed word
+    /// with all-x (it *might* have written); an unknown address writes
+    /// nothing — a documented simplification (a strict interpretation
+    /// would x the entire memory). Two-state values are always known,
+    /// so only the known arms survive in that instance.
+    fn latch(&mut self, nl: &FlatNetlist) {
+        let Core {
+            values,
+            mems,
+            pending_regs,
+            pending_mems,
+            stack,
+        } = self;
+        let prog = &nl.program;
+        let reset = values[nl.reset].truthiness();
+        pending_regs.clear();
+        pending_mems.clear();
+        for reg in &nl.regs {
+            let next = match (reset, &reg.init) {
+                (None, _) => V::all_x(nl.widths[reg.sig]),
+                (Some(true), Some(init)) => V::known(init.clone()),
+                _ => match reg.next {
+                    Some(code) => exec(prog, code, values, mems, stack),
+                    None => values[reg.sig].clone(),
+                },
+            };
+            pending_regs.push((reg.sig, next));
+        }
+        if reset != Some(false) {
+            return;
+        }
+        for w in &nl.writes {
+            let en = exec(prog, w.en, values, mems, stack).truthiness();
+            if en == Some(false) {
+                continue;
+            }
+            let Some(addr) = exec(prog, w.addr, values, mems, stack).known_index() else {
+                continue;
+            };
+            let data = match en {
+                Some(_) => exec(prog, w.data, values, mems, stack),
+                None => V::all_x(nl.mems[w.mem].width),
+            };
+            pending_mems.push((w.mem, addr, data));
+        }
+    }
+
+    /// Commits the updates latched at the previous edge, marking the
+    /// fan-out of slots that actually changed.
+    fn commit(&mut self, nl: &FlatNetlist, dirty: &mut DirtySet) {
+        for (sig, v) in self.pending_regs.drain(..) {
+            if replace(&mut self.values[sig], v) {
+                dirty.mark_all(&nl.sig_fanout[sig]);
+            }
+        }
+        for (mem, addr, data) in self.pending_mems.drain(..) {
+            let width = self.mems[mem].width;
+            if let Some(slot) = self.mems[mem].words.get_mut(addr) {
+                if replace(slot, data.resize(width)) {
+                    dirty.mark_all(&nl.mem_fanout[mem]);
+                }
+            }
+        }
+    }
+
+    /// One rising edge: commit the previous edge's updates (except on
+    /// the first edge), settle, then latch. Returns the definitions
+    /// the sweep executed.
+    fn edge(&mut self, nl: &FlatNetlist, dirty: &mut DirtySet, commit: bool) -> u64 {
+        if commit {
+            self.commit(nl, dirty);
+        }
+        let evals = self.sweep(nl, dirty);
+        self.latch(nl);
+        evals
+    }
+
+    /// Copies `src` into `self`, reusing buffers where shapes match.
+    /// The scratch stack is not state and stays put.
+    fn copy_from(&mut self, src: &Core<V>) {
+        self.values.clone_from(&src.values);
+        self.mems.truncate(src.mems.len());
+        for (dst, s) in self.mems.iter_mut().zip(&src.mems) {
+            dst.width = s.width;
+            dst.words.clone_from(&s.words);
+        }
+        let common = self.mems.len();
+        self.mems.extend_from_slice(&src.mems[common..]);
+        self.pending_regs.clone_from(&src.pending_regs);
+        self.pending_mems.clone_from(&src.pending_mems);
+    }
+
+    /// Approximate state footprint in bytes (the scratch stack, always
+    /// empty between calls, is not counted).
+    fn approx_bytes(&self) -> usize {
+        const INDEX: usize = std::mem::size_of::<usize>();
+        let values: usize = self.values.iter().map(V::approx_bytes).sum();
+        let mems: usize = self
+            .mems
+            .iter()
+            .flat_map(|m| &m.words)
+            .map(V::approx_bytes)
+            .sum();
+        let regs: usize = self
+            .pending_regs
+            .iter()
+            .map(|(_, v)| v.approx_bytes() + INDEX)
+            .sum();
+        let writes: usize = self
+            .pending_mems
+            .iter()
+            .map(|(_, _, v)| v.approx_bytes() + 2 * INDEX)
+            .sum();
+        values + mems + regs + writes
+    }
+}
+
+/// Stores `v` in `slot`; returns whether the value changed (in four-
+/// state, an x bit resolving counts).
+fn replace<V: PartialEq>(slot: &mut V, v: V) -> bool {
+    if *slot == v {
+        return false;
+    }
+    *slot = v;
+    true
+}
+
+/// The simulation state in whichever value domain [`SimConfig`]
+/// selected.
+#[derive(Debug, Clone)]
+enum Engine {
+    Two(Core<Bits>),
+    Four(Core<Bits4>),
+}
+
+/// Runs `$body` with `$core` bound to the engine's `Core`, in either
+/// domain — the one place the two instances are dispatched.
+macro_rules! with_core {
+    ($engine:expr, $core:ident => $body:expr) => {
+        match $engine {
+            Engine::Two($core) => $body,
+            Engine::Four($core) => $body,
+        }
+    };
+}
+
+impl Engine {
+    /// Copies `src` into `self`, reusing buffers. Returns `false`, and
+    /// leaves `self` untouched, when the value domains differ.
+    fn copy_from(&mut self, src: &Engine) -> bool {
+        match (self, src) {
+            (Engine::Two(dst), Engine::Two(src)) => dst.copy_from(src),
+            (Engine::Four(dst), Engine::Four(src)) => dst.copy_from(src),
+            _ => return false,
+        }
+        true
+    }
 }
 
 /// A compiled, runnable design.
 pub struct Simulator {
     netlist: FlatNetlist,
-    values: RefCell<Vec<Bits>>,
-    /// Unknown plane per signal, parallel to `values` and kept in
-    /// X-normal form (`values[i] | unks[i] == values[i]`). Empty in
-    /// two-state mode — the default engine never allocates or touches
-    /// it.
-    unks: RefCell<Vec<Bits>>,
-    mems: RefCell<Vec<MemState>>,
-    /// Unknown plane per memory word, parallel to `mems[i].words`.
-    /// Empty in two-state mode.
-    munks: RefCell<Vec<Vec<Bits>>>,
+    engine: RefCell<Engine>,
     dirty: RefCell<DirtySet>,
-    /// Scratch operand stack for the bytecode evaluator, preallocated
-    /// to the program's exact worst-case depth.
-    stack: RefCell<Vec<Bits>>,
-    /// Four-state twin of `stack`; empty in two-state mode.
-    stack4: RefCell<Vec<Bits4>>,
     /// Total combinational definitions executed (instrumentation; the
     /// incremental-evaluation regression tests assert on this).
     evals: Cell<u64>,
     time: u64,
-    /// Register/memory updates latched at the current clock edge from
-    /// the then-stable values; committed when the next edge begins.
-    /// Latching (rather than recomputing at commit time) keeps the
-    /// edge deterministic even if the testbench pokes inputs while
-    /// paused at the edge. The buffers are reused across cycles.
-    pending_regs: Vec<(usize, Bits)>,
-    pending_mems: Vec<(usize, usize, Bits)>,
-    /// Four-state twins of the pending buffers; used instead of the
-    /// two-state pair when `config.four_state` is set.
-    pending_regs4: Vec<(usize, Bits4)>,
-    pending_mems4: Vec<(usize, usize, Bits4)>,
     started: bool,
     callbacks: Vec<(CallbackId, ClockCallback)>,
     next_callback: usize,
@@ -211,43 +460,15 @@ impl Simulator {
     /// loops.
     pub fn with_config(circuit: &Circuit, config: SimConfig) -> Result<Simulator, SimError> {
         let netlist = FlatNetlist::build(circuit)?;
-        let four = config.four_state;
-        // Four-state power-up: every signal all-X (X-normal form keeps
-        // the value plane at ones wherever the unknown plane is set).
-        // Memories power up known-zero — a documented simplification
-        // matching the two-state engine's word arrays.
-        let values: Vec<Bits> = netlist
-            .widths
-            .iter()
-            .map(|&w| if four { Bits::ones(w) } else { Bits::zero(w) })
-            .collect();
-        let unks: Vec<Bits> = if four {
-            netlist.widths.iter().map(|&w| Bits::ones(w)).collect()
+        let engine = if config.four_state {
+            Engine::Four(Core::new(&netlist))
         } else {
-            Vec::new()
-        };
-        let munks: Vec<Vec<Bits>> = if four {
-            netlist
-                .mems
-                .iter()
-                .map(|m| vec![Bits::zero(m.width); m.words.len()])
-                .collect()
-        } else {
-            Vec::new()
+            Engine::Two(Core::new(&netlist))
         };
         let n_defs = netlist.defs.len();
-        let sim = Simulator {
-            mems: RefCell::new(netlist.mems.clone()),
-            values: RefCell::new(values),
-            unks: RefCell::new(unks),
-            munks: RefCell::new(munks),
-            stack: RefCell::new(Vec::with_capacity(netlist.program.max_stack)),
-            stack4: RefCell::new(Vec::with_capacity(if four {
-                netlist.program.max_stack
-            } else {
-                0
-            })),
+        Ok(Simulator {
             netlist,
+            engine: RefCell::new(engine),
             dirty: RefCell::new(DirtySet {
                 // Everything is dirty before the first sweep.
                 flags: vec![true; n_defs],
@@ -256,28 +477,11 @@ impl Simulator {
             }),
             evals: Cell::new(0),
             time: 0,
-            pending_regs: Vec::new(),
-            pending_mems: Vec::new(),
-            pending_regs4: Vec::new(),
-            pending_mems4: Vec::new(),
             started: false,
             callbacks: Vec::new(),
             next_callback: 0,
             config,
-        };
-        // Registers start at their reset value when they have one — in
-        // two-state mode only. The four-state engine powers registers
-        // up all-X; the init value loads when reset is asserted (and
-        // known true), which is exactly what the mode exists to check.
-        if !four {
-            let mut values = sim.values.borrow_mut();
-            for reg in &sim.netlist.regs {
-                if let Some(init) = &reg.init {
-                    values[reg.sig] = init.clone();
-                }
-            }
-        }
-        Ok(sim)
+        })
     }
 
     /// Number of flattened signals.
@@ -295,49 +499,15 @@ impl Simulator {
             .map(|&i| SignalId::from_index(i))
     }
 
-    /// Marks the direct combinational fan-out of a signal slot dirty.
-    fn mark_sig(&self, sig: usize) {
-        let fanout = &self.netlist.sig_fanout[sig];
-        if fanout.is_empty() {
-            return;
-        }
-        let mut dirty = self.dirty.borrow_mut();
-        for &di in fanout {
-            dirty.mark(di);
-        }
-    }
-
     /// Writes a pokeable slot: resize, change-detect, mark fan-out.
-    /// Pokes always carry fully-known values; in four-state mode the
-    /// slot's unknown plane is cleared (this is how an X input
-    /// resolves).
+    /// Pokes always carry fully-known values; in four-state mode this
+    /// is how an X input resolves.
     fn poke_sig(&mut self, sig: usize, value: Bits) {
-        let width = self.netlist.widths[sig];
-        let value = value.resize(width);
+        let value = value.resize(self.netlist.widths[sig]);
+        if with_core!(self.engine.get_mut(), c => replace(&mut c.values[sig], Value::known(value)))
         {
-            let mut values = self.values.borrow_mut();
-            let unk_cleared = if self.is_four_state() {
-                let mut unks = self.unks.borrow_mut();
-                if unks[sig].is_zero() {
-                    false
-                } else {
-                    unks[sig] = Bits::zero(width);
-                    true
-                }
-            } else {
-                false
-            };
-            if values[sig] == value && !unk_cleared {
-                return;
-            }
-            values[sig] = value;
+            self.dirty.get_mut().mark_all(&self.netlist.sig_fanout[sig]);
         }
-        self.mark_sig(sig);
-    }
-
-    /// Whether this simulator runs the four-state (X/Z) engine.
-    pub fn is_four_state(&self) -> bool {
-        self.config.four_state
     }
 
     /// Sets a top-level input port by full path (e.g. `top.data0`).
@@ -390,19 +560,20 @@ impl Simulator {
     }
 
     /// Id-based [`Simulator::peek`] (no string lookup, no `Result`).
+    /// On a four-state simulator this is the value plane (unknown bits
+    /// read as 1); [`Simulator::peek4_id`] carries the unknown plane.
     ///
     /// # Panics
     ///
     /// Panics if the id does not come from this design.
     pub fn peek_id(&self, id: SignalId) -> Bits {
         self.eval_if_dirty();
-        self.values.borrow()[id.index()].clone()
+        with_core!(&*self.engine.borrow(), c => c.values[id.index()].plane().clone())
     }
 
     fn peek_path(&self, path: &str) -> Option<Bits> {
         let &sig = self.netlist.index.get(path)?;
-        self.eval_if_dirty();
-        Some(self.values.borrow()[sig].clone())
+        Some(self.peek_id(SignalId::from_index(sig)))
     }
 
     /// Four-state [`Simulator::peek`]: the value with its unknown
@@ -423,13 +594,7 @@ impl Simulator {
     /// Panics if the id does not come from this design.
     pub fn peek4_id(&self, id: SignalId) -> Bits4 {
         self.eval_if_dirty();
-        let sig = id.index();
-        let val = self.values.borrow()[sig].clone();
-        if self.is_four_state() {
-            Bits4::from_planes(val, self.unks.borrow()[sig].clone())
-        } else {
-            Bits4::known(val)
-        }
+        with_core!(&*self.engine.borrow(), c => c.values[id.index()].to4())
     }
 
     fn peek_path4(&self, path: &str) -> Option<Bits4> {
@@ -441,23 +606,18 @@ impl Simulator {
     /// not part of the signal namespace).
     pub fn peek_mem(&self, mem_path: &str, addr: usize) -> Option<Bits> {
         let &idx = self.netlist.mem_index.get(mem_path)?;
-        self.mems.borrow().get(idx)?.words.get(addr).cloned()
+        with_core!(&*self.engine.borrow(), c => Some(c.mems[idx].words.get(addr)?.plane().clone()))
     }
 
     /// Four-state [`Simulator::peek_mem`]: the word with its unknown
     /// plane.
     pub fn peek_mem4(&self, mem_path: &str, addr: usize) -> Option<Bits4> {
         let &idx = self.netlist.mem_index.get(mem_path)?;
-        let word = self.mems.borrow().get(idx)?.words.get(addr).cloned()?;
-        if self.is_four_state() {
-            let unk = self.munks.borrow()[idx][addr].clone();
-            Some(Bits4::from_planes(word.or(&unk), unk))
-        } else {
-            Some(Bits4::known(word))
-        }
+        with_core!(&*self.engine.borrow(), c => Some(c.mems[idx].words.get(addr)?.to4()))
     }
 
     /// Writes a memory word directly (program loading in testbenches).
+    /// The word becomes fully known.
     ///
     /// # Errors
     ///
@@ -468,52 +628,16 @@ impl Simulator {
             .mem_index
             .get(mem_path)
             .ok_or_else(|| SimError::UnknownSignal(mem_path.to_owned()))?;
-        let changed = {
-            let mut mems = self.mems.borrow_mut();
-            let mem = &mut mems[idx];
-            let width = mem.width;
-            let slot = mem
-                .words
-                .get_mut(addr)
-                .ok_or_else(|| SimError::UnknownSignal(format!("{mem_path}[{addr}]")))?;
-            let value = value.resize(width);
-            if *slot == value {
-                false
-            } else {
-                *slot = value;
-                true
-            }
-        };
-        // Direct writes are fully known: clear the word's unknown
-        // plane in four-state mode.
-        let munk_cleared = if self.is_four_state() {
-            let mut munks = self.munks.borrow_mut();
-            let slot = &mut munks[idx][addr];
-            if slot.is_zero() {
-                false
-            } else {
-                *slot = Bits::zero(slot.width());
-                true
-            }
-        } else {
-            false
-        };
-        if changed || munk_cleared {
-            self.mark_mem(idx);
+        let changed = with_core!(self.engine.get_mut(), c => {
+            let width = c.mems[idx].width;
+            let slot = c.mems[idx].words.get_mut(addr);
+            slot.map(|slot| replace(slot, Value::known(value.resize(width))))
+        })
+        .ok_or_else(|| SimError::UnknownSignal(format!("{mem_path}[{addr}]")))?;
+        if changed {
+            self.dirty.get_mut().mark_all(&self.netlist.mem_fanout[idx]);
         }
         Ok(())
-    }
-
-    /// Marks every reader of a memory dirty.
-    fn mark_mem(&self, mem: usize) {
-        let fanout = &self.netlist.mem_fanout[mem];
-        if fanout.is_empty() {
-            return;
-        }
-        let mut dirty = self.dirty.borrow_mut();
-        for &di in fanout {
-            dirty.mark(di);
-        }
     }
 
     /// Registers a rising-clock-edge callback; fires with all signals
@@ -559,326 +683,13 @@ impl Simulator {
 
     /// Runs the incremental levelized sweep to the zero-delay fixpoint.
     fn eval_if_dirty(&self) {
-        if self.dirty.borrow().count == 0 {
-            return;
-        }
-        if self.is_four_state() {
-            self.eval4_sequential();
-        } else {
-            self.eval_sequential();
-        }
-    }
-
-    /// The two-state sweep: marked definitions execute in
-    /// topological order; a definition whose output is unchanged does
-    /// not wake its fan-out.
-    fn eval_sequential(&self) {
         let mut dirty = self.dirty.borrow_mut();
-        let mut values = self.values.borrow_mut();
-        let mems = self.mems.borrow();
-        let mut stack = self.stack.borrow_mut();
+        if dirty.count == 0 {
+            return;
+        }
         let nl = &self.netlist;
-        let n = nl.defs.len();
-        let mut evals = self.evals.get();
-        let mut di = dirty.min;
-        while di < n && dirty.count > 0 {
-            if dirty.flags[di] {
-                dirty.flags[di] = false;
-                dirty.count -= 1;
-                let def = &nl.defs[di];
-                let new = exec(&nl.program, def.code, values.as_slice(), &mems, &mut stack);
-                evals += 1;
-                if values[def.sig] != new {
-                    values[def.sig] = new;
-                    // Fan-out defs are topologically later, so the
-                    // forward sweep will reach them this pass.
-                    for &f in &nl.sig_fanout[def.sig] {
-                        dirty.mark(f);
-                    }
-                }
-            }
-            di += 1;
-        }
-        dirty.min = n;
-        debug_assert_eq!(dirty.count, 0, "sweep left dirty defs behind");
-        dirty.count = 0;
-        self.evals.set(evals);
-    }
-
-    /// Four-state twin of [`Simulator::eval_sequential`]: identical
-    /// schedule and change-pruning, with the unknown plane carried
-    /// alongside every value. On a fully-driven design the unknown
-    /// planes stay zero and the sweep visits exactly the defs the
-    /// two-state engine would.
-    fn eval4_sequential(&self) {
-        let mut dirty = self.dirty.borrow_mut();
-        let mut values = self.values.borrow_mut();
-        let mut unks = self.unks.borrow_mut();
-        let mems = self.mems.borrow();
-        let munks = self.munks.borrow();
-        let mut stack4 = self.stack4.borrow_mut();
-        let nl = &self.netlist;
-        let n = nl.defs.len();
-        let mut evals = self.evals.get();
-        let mut di = dirty.min;
-        while di < n && dirty.count > 0 {
-            if dirty.flags[di] {
-                dirty.flags[di] = false;
-                dirty.count -= 1;
-                let def = &nl.defs[di];
-                let src = Planes {
-                    vals: values.as_slice(),
-                    unks: unks.as_slice(),
-                };
-                let new = exec4(&nl.program, def.code, &src, &mems, &munks, &mut stack4);
-                evals += 1;
-                if values[def.sig] != *new.value() || unks[def.sig] != *new.unknown() {
-                    values[def.sig] = new.value().clone();
-                    unks[def.sig] = new.unknown().clone();
-                    for &f in &nl.sig_fanout[def.sig] {
-                        dirty.mark(f);
-                    }
-                }
-            }
-            di += 1;
-        }
-        dirty.min = n;
-        debug_assert_eq!(dirty.count, 0, "sweep left dirty defs behind");
-        dirty.count = 0;
-        self.evals.set(evals);
-    }
-
-    /// Latches register updates and memory writes from the current
-    /// stable values (non-blocking semantics). Committed at the start
-    /// of the next clock edge.
-    fn latch_edge(&mut self) {
-        self.eval_if_dirty();
-        if self.is_four_state() {
-            self.latch_edge4();
-            return;
-        }
-        let Simulator {
-            netlist,
-            values,
-            mems,
-            stack,
-            pending_regs,
-            pending_mems,
-            ..
-        } = self;
-        let values = values.borrow();
-        let mems = mems.borrow();
-        let mut stack = stack.borrow_mut();
-        let reset = values[netlist.reset].is_truthy();
-        pending_regs.clear();
-        pending_mems.clear();
-        let vals: &[Bits] = values.as_slice();
-        let mems_slice: &[MemState] = mems.as_slice();
-        for reg in &netlist.regs {
-            let next = eval_reg_next(netlist, reg, reset, vals, mems_slice, &mut stack);
-            pending_regs.push((reg.sig, next));
-        }
-        if !reset {
-            for w in &netlist.writes {
-                if exec(&netlist.program, w.en, vals, mems_slice, &mut stack).is_truthy() {
-                    let addr = exec(&netlist.program, w.addr, vals, mems_slice, &mut stack).to_u64()
-                        as usize;
-                    let data = exec(&netlist.program, w.data, vals, mems_slice, &mut stack);
-                    pending_mems.push((w.mem, addr, data));
-                }
-            }
-        }
-    }
-
-    /// Four-state twin of [`Simulator::latch_edge`]. Reset is
-    /// three-valued here:
-    ///
-    /// * known true — registers with an init load it; write ports are
-    ///   disabled (matching two-state).
-    /// * known false — normal next-value evaluation; write ports run.
-    /// * unknown — every register latches all-X and write ports are
-    ///   skipped (memory holds), the conservative reading.
-    ///
-    /// A write port whose enable is unknown clobbers the addressed
-    /// word with all-X (it *might* have written); an unknown address
-    /// writes nothing — a documented simplification (a strict
-    /// interpretation would X the entire memory).
-    fn latch_edge4(&mut self) {
-        let Simulator {
-            netlist,
-            values,
-            unks,
-            mems,
-            munks,
-            stack4,
-            pending_regs4,
-            pending_mems4,
-            ..
-        } = self;
-        let values = values.borrow();
-        let unks = unks.borrow();
-        let mems = mems.borrow();
-        let munks = munks.borrow();
-        let mut stack4 = stack4.borrow_mut();
-        let src = Planes {
-            vals: values.as_slice(),
-            unks: unks.as_slice(),
-        };
-        let mems_slice: &[MemState] = mems.as_slice();
-        let munks_slice: &[Vec<Bits>] = munks.as_slice();
-        let reset = Bits4::from_planes(values[netlist.reset].clone(), unks[netlist.reset].clone())
-            .truthiness();
-        pending_regs4.clear();
-        pending_mems4.clear();
-        for reg in &netlist.regs {
-            let next = eval_reg_next4(
-                netlist,
-                reg,
-                reset,
-                &src,
-                mems_slice,
-                munks_slice,
-                &mut stack4,
-            );
-            pending_regs4.push((reg.sig, next));
-        }
-        if reset == Some(false) {
-            for w in &netlist.writes {
-                let en = exec4(
-                    &netlist.program,
-                    w.en,
-                    &src,
-                    mems_slice,
-                    munks_slice,
-                    &mut stack4,
-                );
-                let en = en.truthiness();
-                if en == Some(false) {
-                    continue;
-                }
-                let addr4 = exec4(
-                    &netlist.program,
-                    w.addr,
-                    &src,
-                    mems_slice,
-                    munks_slice,
-                    &mut stack4,
-                );
-                let Some(addr) = addr4.to_known().map(|a| a.to_u64() as usize) else {
-                    continue;
-                };
-                let data = if en == Some(true) {
-                    exec4(
-                        &netlist.program,
-                        w.data,
-                        &src,
-                        mems_slice,
-                        munks_slice,
-                        &mut stack4,
-                    )
-                } else {
-                    Bits4::all_x(netlist.mems[w.mem].width)
-                };
-                pending_mems4.push((w.mem, addr, data));
-            }
-        }
-    }
-
-    /// Commits the updates latched at the previous edge, marking the
-    /// fan-out of slots that actually changed.
-    fn commit_edge(&mut self) {
-        if self.is_four_state() {
-            self.commit_edge4();
-            return;
-        }
-        if self.pending_regs.is_empty() && self.pending_mems.is_empty() {
-            return;
-        }
-        let Simulator {
-            netlist,
-            values,
-            mems,
-            dirty,
-            pending_regs,
-            pending_mems,
-            ..
-        } = self;
-        {
-            let mut values = values.borrow_mut();
-            let mut dirty = dirty.borrow_mut();
-            for (sig, v) in pending_regs.drain(..) {
-                if values[sig] != v {
-                    values[sig] = v;
-                    for &f in &netlist.sig_fanout[sig] {
-                        dirty.mark(f);
-                    }
-                }
-            }
-        }
-        let mut mems = mems.borrow_mut();
-        let mut dirty = dirty.borrow_mut();
-        for (mem, addr, data) in pending_mems.drain(..) {
-            let width = mems[mem].width;
-            if let Some(slot) = mems[mem].words.get_mut(addr) {
-                let data = data.resize(width);
-                if *slot != data {
-                    *slot = data;
-                    for &f in &netlist.mem_fanout[mem] {
-                        dirty.mark(f);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Four-state twin of [`Simulator::commit_edge`]: drains the
-    /// [`Bits4`] pending buffers, change-detecting on both planes.
-    fn commit_edge4(&mut self) {
-        if self.pending_regs4.is_empty() && self.pending_mems4.is_empty() {
-            return;
-        }
-        let Simulator {
-            netlist,
-            values,
-            unks,
-            mems,
-            munks,
-            dirty,
-            pending_regs4,
-            pending_mems4,
-            ..
-        } = self;
-        {
-            let mut values = values.borrow_mut();
-            let mut unks = unks.borrow_mut();
-            let mut dirty = dirty.borrow_mut();
-            for (sig, v4) in pending_regs4.drain(..) {
-                if values[sig] != *v4.value() || unks[sig] != *v4.unknown() {
-                    values[sig] = v4.value().clone();
-                    unks[sig] = v4.unknown().clone();
-                    for &f in &netlist.sig_fanout[sig] {
-                        dirty.mark(f);
-                    }
-                }
-            }
-        }
-        let mut mems = mems.borrow_mut();
-        let mut munks = munks.borrow_mut();
-        let mut dirty = dirty.borrow_mut();
-        for (mem, addr, data) in pending_mems4.drain(..) {
-            let width = mems[mem].width;
-            if let Some(slot) = mems[mem].words.get_mut(addr) {
-                let data = data.resize(width);
-                let uslot = &mut munks[mem][addr];
-                if *slot != *data.value() || *uslot != *data.unknown() {
-                    *slot = data.value().clone();
-                    *uslot = data.unknown().clone();
-                    for &f in &netlist.mem_fanout[mem] {
-                        dirty.mark(f);
-                    }
-                }
-            }
-        }
+        let evals = with_core!(&mut *self.engine.borrow_mut(), c => c.sweep(nl, &mut dirty));
+        self.evals.set(self.evals.get() + evals);
     }
 
     /// Internal names accessor for trace writers.
@@ -924,19 +735,9 @@ impl Simulator {
     /// the sweep is deterministic and the snapshot preserves the exact
     /// dirty frontier.
     pub fn snapshot(&self) -> Snapshot {
-        let dirty = self.dirty.borrow();
         Snapshot {
-            values: self.values.borrow().clone(),
-            unks: self.unks.borrow().clone(),
-            mems: self.mems.borrow().clone(),
-            munks: self.munks.borrow().clone(),
-            dirty_flags: dirty.flags.clone(),
-            dirty_count: dirty.count,
-            dirty_min: dirty.min,
-            pending_regs: self.pending_regs.clone(),
-            pending_mems: self.pending_mems.clone(),
-            pending_regs4: self.pending_regs4.clone(),
-            pending_mems4: self.pending_mems4.clone(),
+            engine: self.engine.borrow().clone(),
+            dirty: self.dirty.borrow().clone(),
             evals: self.evals.get(),
             time: self.time,
             started: self.started,
@@ -953,31 +754,11 @@ impl Simulator {
     /// buffers otherwise go through mmap/munmap and re-fault their
     /// pages on every capture).
     pub fn snapshot_into(&self, out: &mut Snapshot) {
-        out.values.clone_from(&self.values.borrow());
-        {
-            let mems = self.mems.borrow();
-            out.mems.truncate(mems.len());
-            for (dst, src) in out.mems.iter_mut().zip(mems.iter()) {
-                dst.width = src.width;
-                dst.words.clone_from(&src.words);
-            }
-            let common = out.mems.len();
-            for src in mems.iter().skip(common) {
-                out.mems.push(src.clone());
-            }
+        let engine = self.engine.borrow();
+        if !out.engine.copy_from(&engine) {
+            out.engine = engine.clone();
         }
-        {
-            let dirty = self.dirty.borrow();
-            out.dirty_flags.clone_from(&dirty.flags);
-            out.dirty_count = dirty.count;
-            out.dirty_min = dirty.min;
-        }
-        out.unks.clone_from(&self.unks.borrow());
-        out.munks.clone_from(&self.munks.borrow());
-        out.pending_regs.clone_from(&self.pending_regs);
-        out.pending_mems.clone_from(&self.pending_mems);
-        out.pending_regs4.clone_from(&self.pending_regs4);
-        out.pending_mems4.clone_from(&self.pending_mems4);
+        out.dirty.copy_from(&self.dirty.borrow());
         out.evals = self.evals.get();
         out.time = self.time;
         out.started = self.started;
@@ -990,39 +771,25 @@ impl Simulator {
     /// # Errors
     ///
     /// [`SimError::Build`] when the snapshot's shape does not match
-    /// this design (it was captured from a different circuit).
+    /// this design (it was captured from a different circuit), or when
+    /// it comes from the other value domain: two-state and four-state
+    /// simulators cannot exchange state.
     pub fn restore(&mut self, snap: &Snapshot) -> Result<(), SimError> {
-        if snap.values.len() != self.netlist.names.len()
-            || snap.mems.len() != self.netlist.mems.len()
-            || snap.dirty_flags.len() != self.netlist.defs.len()
-        {
+        let nl = &self.netlist;
+        let same_shape = with_core!(&snap.engine, c => {
+            c.values.len() == nl.names.len() && c.mems.len() == nl.mems.len()
+        });
+        if !same_shape || snap.dirty.flags.len() != nl.defs.len() {
             return Err(SimError::Build(
                 "snapshot does not match this design".into(),
             ));
         }
-        // Unknown planes are only populated in four-state snapshots;
-        // the two kinds of simulator cannot exchange state.
-        if snap.unks.len() != self.unks.borrow().len()
-            || snap.munks.len() != self.munks.borrow().len()
-        {
+        if !self.engine.get_mut().copy_from(&snap.engine) {
             return Err(SimError::Build(
                 "snapshot four-state mode does not match this simulator".into(),
             ));
         }
-        *self.values.borrow_mut() = snap.values.clone();
-        *self.unks.borrow_mut() = snap.unks.clone();
-        *self.mems.borrow_mut() = snap.mems.clone();
-        *self.munks.borrow_mut() = snap.munks.clone();
-        {
-            let mut dirty = self.dirty.borrow_mut();
-            dirty.flags.clone_from(&snap.dirty_flags);
-            dirty.count = snap.dirty_count;
-            dirty.min = snap.dirty_min;
-        }
-        self.pending_regs.clone_from(&snap.pending_regs);
-        self.pending_mems.clone_from(&snap.pending_mems);
-        self.pending_regs4.clone_from(&snap.pending_regs4);
-        self.pending_mems4.clone_from(&snap.pending_mems4);
+        self.dirty.get_mut().copy_from(&snap.dirty);
         self.evals.set(snap.evals);
         self.time = snap.time;
         self.started = snap.started;
@@ -1038,19 +805,8 @@ impl Simulator {
 /// budgets them by [`Snapshot::approx_bytes`].
 #[derive(Clone)]
 pub struct Snapshot {
-    values: Vec<Bits>,
-    /// Per-signal unknown planes; empty for two-state snapshots.
-    unks: Vec<Bits>,
-    mems: Vec<MemState>,
-    /// Per-memory-word unknown planes; empty for two-state snapshots.
-    munks: Vec<Vec<Bits>>,
-    dirty_flags: Vec<bool>,
-    dirty_count: usize,
-    dirty_min: usize,
-    pending_regs: Vec<(usize, Bits)>,
-    pending_mems: Vec<(usize, usize, Bits)>,
-    pending_regs4: Vec<(usize, Bits4)>,
-    pending_mems4: Vec<(usize, usize, Bits4)>,
+    engine: Engine,
+    dirty: DirtySet,
     evals: u64,
     time: u64,
     started: bool,
@@ -1064,117 +820,24 @@ impl Snapshot {
 
     /// Approximate heap footprint in bytes — the sizing input for a
     /// bounded checkpoint ring. Wide (> 64-bit) values add their word
-    /// storage on top of the inline representation.
+    /// storage on top of the inline representation, and four-state
+    /// values count both planes.
     pub fn approx_bytes(&self) -> usize {
-        fn bits_bytes(b: &Bits) -> usize {
-            let heap = if b.width() > 64 {
-                (b.width() as usize).div_ceil(8)
-            } else {
-                0
-            };
-            std::mem::size_of::<Bits>() + heap
-        }
-        fn bits4_bytes(b: &Bits4) -> usize {
-            bits_bytes(b.value()) + bits_bytes(b.unknown())
-        }
-        const INDEX: usize = std::mem::size_of::<usize>();
-        let values: usize = self.values.iter().map(bits_bytes).sum::<usize>()
-            + self.unks.iter().map(bits_bytes).sum::<usize>();
-        let mems: usize = self
-            .mems
-            .iter()
-            .map(|m| m.words.iter().map(bits_bytes).sum::<usize>())
-            .sum::<usize>()
-            + self
-                .munks
-                .iter()
-                .map(|m| m.iter().map(bits_bytes).sum::<usize>())
-                .sum::<usize>();
-        let pending: usize = self
-            .pending_regs
-            .iter()
-            .map(|(_, b)| bits_bytes(b) + INDEX)
-            .sum::<usize>()
-            + self
-                .pending_mems
-                .iter()
-                .map(|(_, _, b)| bits_bytes(b) + 2 * INDEX)
-                .sum::<usize>()
-            + self
-                .pending_regs4
-                .iter()
-                .map(|(_, b)| bits4_bytes(b) + INDEX)
-                .sum::<usize>()
-            + self
-                .pending_mems4
-                .iter()
-                .map(|(_, _, b)| bits4_bytes(b) + 2 * INDEX)
-                .sum::<usize>();
-        values + mems + pending + self.dirty_flags.len() + std::mem::size_of::<Snapshot>()
+        with_core!(&self.engine, c => c.approx_bytes())
+            + self.dirty.flags.len()
+            + std::mem::size_of::<Snapshot>()
     }
 }
 
 impl std::fmt::Debug for Snapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (signals, mems) = with_core!(&self.engine, c => (c.values.len(), c.mems.len()));
         f.debug_struct("Snapshot")
             .field("time", &self.time)
-            .field("signals", &self.values.len())
-            .field("mems", &self.mems.len())
+            .field("signals", &signals)
+            .field("mems", &mems)
             .field("approx_bytes", &self.approx_bytes())
             .finish()
-    }
-}
-
-/// Next value of one register at the edge: reset loads the init value
-/// when there is one; otherwise the compiled next expression (or hold).
-fn eval_reg_next(
-    netlist: &FlatNetlist,
-    reg: &FlatReg,
-    reset: bool,
-    values: &[Bits],
-    mems: &[MemState],
-    stack: &mut Vec<Bits>,
-) -> Bits {
-    if reset {
-        if let Some(init) = &reg.init {
-            return init.clone();
-        }
-    }
-    match reg.next {
-        Some(code) => exec(&netlist.program, code, values, mems, stack),
-        None => values[reg.sig].clone(),
-    }
-}
-
-/// Four-state next value of one register at the edge. Mirrors
-/// [`eval_reg_next`] for a known reset (so fully-driven designs match
-/// the two-state engine bit for bit); an unknown reset latches all-X —
-/// the register's next state genuinely cannot be known.
-fn eval_reg_next4(
-    netlist: &FlatNetlist,
-    reg: &FlatReg,
-    reset: Option<bool>,
-    values: &Planes<'_>,
-    mems: &[MemState],
-    munks: &[Vec<Bits>],
-    stack: &mut Vec<Bits4>,
-) -> Bits4 {
-    match reset {
-        None => return Bits4::all_x(netlist.widths[reg.sig]),
-        Some(true) => {
-            if let Some(init) = &reg.init {
-                return Bits4::known(init.clone());
-            }
-            // No init: like the two-state engine, the register ignores
-            // reset and follows its next expression (that is the bug
-            // class lint L006 flags — and exactly what an X sweep
-            // makes visible).
-        }
-        Some(false) => {}
-    }
-    match reg.next {
-        Some(code) => exec4(&netlist.program, code, values, mems, munks, stack),
-        None => values.get4(reg.sig),
     }
 }
 
@@ -1189,10 +852,6 @@ impl SimControl for Simulator {
 
     fn get_value_by_id(&self, id: SignalId) -> Option<Bits> {
         Some(self.peek_id(id))
-    }
-
-    fn is_four_state(&self) -> bool {
-        Simulator::is_four_state(self)
     }
 
     fn get_value4(&self, path: &str) -> Option<Bits4> {
@@ -1212,12 +871,16 @@ impl SimControl for Simulator {
     }
 
     fn step_clock(&mut self) -> bool {
-        if self.started {
-            self.commit_edge();
-        }
+        let Simulator {
+            netlist,
+            engine,
+            dirty,
+            started,
+            ..
+        } = self;
+        let evals = with_core!(engine.get_mut(), c => c.edge(netlist, dirty.get_mut(), *started));
+        self.evals.set(self.evals.get() + evals);
         self.started = true;
-        self.eval_if_dirty();
-        self.latch_edge();
         self.time += 1;
         // Fire callbacks with stable signals (rising edge).
         if !self.callbacks.is_empty() {
@@ -1268,16 +931,13 @@ impl SimControl for Simulator {
         if is_reg {
             // Make the force survive the edge already latched at the
             // current stop point.
-            for (psig, pv) in &mut self.pending_regs {
-                if *psig == sig {
-                    *pv = value.clone();
+            with_core!(self.engine.get_mut(), c => {
+                for (psig, pv) in &mut c.pending_regs {
+                    if *psig == sig {
+                        *pv = Value::known(value.clone());
+                    }
                 }
-            }
-            for (psig, pv) in &mut self.pending_regs4 {
-                if *psig == sig {
-                    *pv = Bits4::known(value.clone());
-                }
-            }
+            });
         }
         Ok(())
     }
@@ -1855,7 +1515,7 @@ mod tests {
     #[test]
     fn four_state_registers_power_up_x_and_resolve_on_reset() {
         let mut sim = build_with(counter_design, "counter", four_state());
-        assert!(sim.is_four_state());
+        assert!(sim.config().four_state);
         // Power-up: the register (and everything fed by it) is all-X,
         // even though it has an init value — init loads under reset.
         assert_eq!(sim.peek4("counter.count").unwrap(), Bits4::all_x(8));
@@ -2062,9 +1722,12 @@ mod tests {
         four.step_clock();
         let two = two.snapshot();
         let four = four.snapshot();
-        assert!(!four.pending_regs4.is_empty());
-        assert!(four.values.iter().all(|v| v.width() <= 64));
-        let unk_plane = four.unks.len() * std::mem::size_of::<Bits>();
+        let Engine::Four(core) = &four.engine else {
+            panic!("four-state simulator captured a two-state engine");
+        };
+        assert!(!core.pending_regs.is_empty());
+        assert!(core.values.iter().all(|v| v.width() <= 64));
+        let unk_plane = core.values.len() * std::mem::size_of::<Bits>();
         assert!(
             four.approx_bytes() >= two.approx_bytes() + unk_plane,
             "four-state {} < two-state {} + unknown plane {}",

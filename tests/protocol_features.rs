@@ -87,6 +87,34 @@ fn channel_session_covers_figure4_features() {
     server.join().unwrap();
 }
 
+/// `set_value` forces a two-state value: a literal with x/z bits is
+/// rejected as a bad value literal and the register keeps its value.
+#[test]
+fn set_value_rejects_unknown_literal() {
+    let (mut server_t, client_t) = channel_pair();
+    let (sim, symbols, bp_line) = build_counter();
+    let server = thread::spawn(move || {
+        let runtime = Runtime::attach(sim, symbols).unwrap();
+        serve(runtime, &mut server_t);
+    });
+    let mut client = DebugClient::new(client_t);
+    client
+        .insert_breakpoint(file!(), bp_line, Some("count == 3"))
+        .unwrap();
+    client.continue_run(Some(1000)).unwrap();
+    let err = client
+        .request(&Request::SetValue {
+            instance: Some("top".into()),
+            name: "count".into(),
+            value: "8'hxx".into(),
+        })
+        .unwrap_err();
+    assert!(err.to_string().contains("bad value literal"), "{err}");
+    assert_eq!(client.eval(Some("top"), "count").unwrap(), "3");
+    client.detach().unwrap();
+    server.join().unwrap();
+}
+
 /// The same protocol over a real TCP socket, served by the
 /// multi-session service.
 #[test]
