@@ -24,11 +24,21 @@
 //! # Watchpoints
 //!
 //! A watchpoint stops execution when a watched expression's value
-//! changes between evaluation points (rising clock edges during
-//! [`Runtime::continue_run`]). The expression is parsed once at insert
-//! time and its signal references are interned against the backend
-//! (the same compiled-expression machinery breakpoint conditions use),
-//! so the per-cycle check is cheap.
+//! changes between evaluation points: the rising clock edges that
+//! [`Runtime::continue_run`] and [`Runtime::step`] cross. Every other
+//! move of time re-reads the baselines instead of comparing against
+//! them: [`Runtime::step_cycle`], a reverse step or continue, and a
+//! checkpoint restore. The expression is parsed once at insert time
+//! and its names are interned against the backend, so the per-cycle
+//! check is cheap.
+//!
+//! # Name resolution
+//!
+//! Every debugger name — in a breakpoint enable or user condition, a
+//! watch expression, `eval` or `set_variable` — resolves one way: the
+//! symbol table's generator variable, then `{instance}.{name}`, then
+//! the bare name, each interned once (see `NameRef`). A read takes the
+//! first candidate that currently has a value.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -262,53 +272,82 @@ pub struct WatchHit {
     pub new: Bits4,
 }
 
-/// How a breakpoint-expression name resolves against the backend:
-/// interned once up front (the per-cycle fast path, no string
-/// formatting or hashing), or dynamically by path when the backend
-/// cannot intern it.
+/// A debugger name resolved against the backend: its RTL candidates
+/// in lookup order, each interned once. The order is the symbol
+/// table's generator variable, then `{instance}.{name}`, then the bare
+/// name. The generator variable comes first because it can map away
+/// from `{instance}.{name}` (a release build's CSE merges the node
+/// into another), and the bare name lets an absolute path resolve in
+/// any context. Only candidates the backend interns are kept, inline,
+/// so a per-cycle read touches no heap.
 #[derive(Debug, Clone)]
-enum NameLookup {
-    Id(SignalId),
-    Dynamic,
+struct NameRef {
+    name: String,
+    candidates: [Option<SignalId>; 3],
 }
 
-/// Resolves every signal name an expression references, preferring
-/// backend-interned ids. Called once at attach/insert time.
-fn resolve_refs<S: SimControl>(
+impl NameRef {
+    /// Interns `name`'s candidates; `iid` is the instance's
+    /// symbol-table id, when it has one.
+    fn intern<S: SimControl>(
+        sim: &S,
+        symbols: &SymbolTable,
+        instance: Option<&str>,
+        iid: Option<i64>,
+        name: String,
+    ) -> NameRef {
+        let generator =
+            iid.and_then(|iid| symbols.resolve_instance_variable(iid, &name).ok().flatten());
+        let scoped = instance.map(|inst| format!("{inst}.{name}"));
+        let mut candidates = [None; 3];
+        let mut n = 0;
+        for path in [generator.as_deref(), scoped.as_deref(), Some(name.as_str())]
+            .into_iter()
+            .flatten()
+        {
+            let id = sim.signal_id(path);
+            if id.is_some() && !candidates[..n].contains(&id) {
+                candidates[n] = id;
+                n += 1;
+            }
+        }
+        NameRef { name, candidates }
+    }
+
+    /// The first candidate that currently has a value. Falling through
+    /// to later candidates keeps gaps in a replayed trace readable.
+    fn read<S: SimControl>(&self, sim: &S) -> Option<Bits4> {
+        self.candidates
+            .iter()
+            .flatten()
+            .find_map(|&id| sim.get_value(id))
+    }
+}
+
+/// Resolves every name `expr` references in an instance context (see
+/// [`NameRef`]). Called once per breakpoint attach or insert, watch
+/// insert and eval; never per cycle.
+fn intern_refs<S: SimControl>(
     sim: &S,
-    prefix: &str,
+    symbols: &SymbolTable,
+    instance: Option<&str>,
     expr: &DebugExpr,
-) -> Vec<(String, NameLookup)> {
+) -> Vec<NameRef> {
+    let iid = instance.and_then(|inst| symbols.instance_by_name(inst).ok().flatten());
     expr.refs()
         .into_iter()
-        .map(|name| {
-            let lookup = sim
-                .signal_id(&format!("{prefix}.{name}"))
-                .or_else(|| sim.signal_id(&name))
-                .map(NameLookup::Id)
-                .unwrap_or(NameLookup::Dynamic);
-            (name, lookup)
-        })
+        .map(|name| NameRef::intern(sim, symbols, instance, iid, name))
         .collect()
 }
 
-/// Per-cycle name resolution: interned id when available (and carrying
-/// a value), else the instance-relative then absolute path fallback.
-/// Four-state so enable/condition evaluation sees unknown planes; on
-/// two-state backends every value comes back fully known.
-fn resolve_name_fast<S: SimControl>(
-    sim: &S,
-    prefix: &str,
-    lookups: &[(String, NameLookup)],
-    name: &str,
-) -> Option<Bits4> {
-    if let Some((_, NameLookup::Id(id))) = lookups.iter().find(|(n, _)| n == name) {
-        if let Some(v) = sim.get_value4_by_id(*id) {
-            return Some(v);
-        }
-    }
-    sim.get_value4(&format!("{prefix}.{name}"))
-        .or_else(|| sim.get_value4(name))
+/// Reads `name` through an expression's interned references.
+fn read_ref<S: SimControl>(sim: &S, refs: &[NameRef], name: &str) -> Option<Bits4> {
+    refs.iter().find(|r| r.name == name)?.read(sim)
+}
+
+/// Reads an exact RTL path from the symbol table.
+fn read_path<S: SimControl>(sim: &S, path: &str) -> Option<Bits4> {
+    sim.get_value(sim.signal_id(path)?)
 }
 
 /// A statically known breakpoint with its pre-parsed enable.
@@ -317,7 +356,7 @@ struct StaticBp {
     info: BreakpointInfo,
     enable: Option<DebugExpr>,
     /// Attach-time name resolutions for the enable expression.
-    enable_lookups: Vec<(String, NameLookup)>,
+    enable_refs: Vec<NameRef>,
     /// Whether an enable-evaluation error was already recorded (a
     /// `Cell` because the group walk holds the table immutably on the
     /// hot path). Without it, an unresolvable enable in a partial
@@ -332,22 +371,12 @@ struct Inserted {
     condition: Option<DebugExpr>,
     condition_text: Option<String>,
     /// Insert-time name resolutions for the user condition.
-    cond_lookups: Vec<(String, NameLookup)>,
+    cond_refs: Vec<NameRef>,
     hit_count: u64,
     /// Whether a condition-evaluation error was already recorded (so
     /// a broken condition does not append one diagnostic per instance
     /// per simulated cycle).
     cond_error_reported: bool,
-}
-
-/// How one signal reference of a watch expression resolves: interned
-/// id when the backend supports it, a concrete RTL path otherwise,
-/// with full dynamic resolution as the last resort.
-#[derive(Debug, Clone)]
-struct WatchRef {
-    name: String,
-    id: Option<SignalId>,
-    path: String,
 }
 
 /// A session-owned watchpoint: a pre-parsed expression plus the value
@@ -359,7 +388,7 @@ struct Watch {
     expr_text: String,
     expr: DebugExpr,
     /// Insert-time name resolutions for the watched expression.
-    refs: Vec<WatchRef>,
+    refs: Vec<NameRef>,
     /// Comparison baseline, four-state: `Bits4`'s plane-wise equality
     /// makes an X→known resolution (reset finally reaching a register)
     /// an ordinary value change, so the watch fires on it.
@@ -368,6 +397,17 @@ struct Watch {
     /// Whether an evaluation error was already recorded (so a broken
     /// watch does not append one diagnostic per simulated cycle).
     error_reported: bool,
+}
+
+impl Watch {
+    /// Evaluates the watched expression, four-state: on a four-state
+    /// backend the result carries unknown planes, so the change
+    /// comparison sees X→known transitions.
+    fn eval<S: SimControl>(&self, sim: &S) -> Result<Bits4, DebugError> {
+        self.expr
+            .eval(&|name: &str| read_ref(sim, &self.refs, name))
+            .map_err(DebugError::from)
+    }
 }
 
 /// A user-visible watchpoint listing entry.
@@ -459,16 +499,16 @@ impl<S: SimControl> Runtime<S> {
             .map_err(|e| DebugError::Symbols(e.to_string()))?
         {
             let enable = info.enable.as_deref().map(DebugExpr::parse).transpose()?;
-            let enable_lookups = enable
+            let enable_refs = enable
                 .as_ref()
-                .map(|e| resolve_refs(&sim, &info.instance_name, e))
+                .map(|e| intern_refs(&sim, &symbols, Some(&info.instance_name), e))
                 .unwrap_or_default();
             static_bps.insert(
                 info.id,
                 StaticBp {
                     info,
                     enable,
-                    enable_lookups,
+                    enable_refs,
                     enable_error_reported: std::cell::Cell::new(false),
                 },
             );
@@ -505,7 +545,7 @@ impl<S: SimControl> Runtime<S> {
         }
         let paths = self.symbols.variable_paths().unwrap_or_default();
         hgdb_lint::symbol_coverage_live(paths.iter().map(String::as_str), &|p| {
-            self.sim.get_value(p).is_some()
+            read_path(&self.sim, p).is_some()
         })
     }
 
@@ -598,16 +638,16 @@ impl<S: SimControl> Runtime<S> {
         let parsed = condition.map(DebugExpr::parse).transpose()?;
         let mut ids = Vec::new();
         for info in matches {
-            let cond_lookups = parsed
+            let cond_refs = parsed
                 .as_ref()
-                .map(|e| resolve_refs(&self.sim, &info.instance_name, e))
+                .map(|e| intern_refs(&self.sim, &self.symbols, Some(&info.instance_name), e))
                 .unwrap_or_default();
             let previous = self.inserted.entry(info.id).or_default().insert(
                 owner,
                 Inserted {
                     condition: parsed.clone(),
                     condition_text: condition.map(str::to_owned),
-                    cond_lookups,
+                    cond_refs,
                     hit_count: 0,
                     cond_error_reported: false,
                 },
@@ -823,13 +863,11 @@ impl<S: SimControl> Runtime<S> {
     /// current state, so a restore does not fire spurious "changes"
     /// against values from the abandoned timeline.
     fn rebaseline_watches(&mut self) {
-        let mut watchpoints = std::mem::take(&mut self.watchpoints);
-        for watch in watchpoints.values_mut() {
-            if let Ok(value) = self.eval_watch(watch) {
+        for watch in self.watchpoints.values_mut() {
+            if let Ok(value) = watch.eval(&self.sim) {
                 watch.last = value;
             }
         }
-        self.watchpoints = watchpoints;
     }
 
     /// Restores execution to `cycle` (checkpoint restore + replay, or
@@ -953,11 +991,12 @@ impl<S: SimControl> Runtime<S> {
     }
 
     /// Inserts a watchpoint owned by `owner`: execution stops inside
-    /// [`Runtime::continue_run`] when the expression's value differs
-    /// across a rising clock edge. The expression is parsed once and
-    /// its signal references are resolved to interned ids (or concrete
-    /// RTL paths) now, so the per-cycle re-evaluation stays cheap. The
-    /// current value is recorded as the comparison baseline.
+    /// [`Runtime::continue_run`] or [`Runtime::step`] when the
+    /// expression's value differs across a rising clock edge. The
+    /// expression is parsed once and its names are interned now (in the
+    /// order of the module docs' *Name resolution*), so the per-cycle
+    /// re-evaluation stays cheap. The current value is recorded as the
+    /// comparison baseline.
     ///
     /// # Errors
     ///
@@ -972,18 +1011,7 @@ impl<S: SimControl> Runtime<S> {
         expr_text: &str,
     ) -> Result<i64, DebugError> {
         let expr = DebugExpr::parse(expr_text)?;
-        let refs = expr
-            .refs()
-            .into_iter()
-            .map(|name| {
-                let path = self.watch_ref_path(instance, &name);
-                WatchRef {
-                    id: self.sim.signal_id(&path),
-                    path,
-                    name,
-                }
-            })
-            .collect();
+        let refs = intern_refs(&self.sim, &self.symbols, instance, &expr);
         let mut watch = Watch {
             owner,
             instance: instance.map(str::to_owned),
@@ -994,7 +1022,7 @@ impl<S: SimControl> Runtime<S> {
             hit_count: 0,
             error_reported: false,
         };
-        watch.last = self.eval_watch(&watch)?;
+        watch.last = watch.eval(&self.sim)?;
         let id = self.next_watch_id;
         self.next_watch_id += 1;
         self.watchpoints.insert(id, watch);
@@ -1046,123 +1074,39 @@ impl<S: SimControl> Runtime<S> {
             .collect()
     }
 
-    /// Resolves one watch-expression reference to the concrete RTL
-    /// path used for interning: the symbol table's generator-variable
-    /// mapping first, then the instance-relative path, then the bare
-    /// name — preferring the first candidate that currently carries a
-    /// value.
-    fn watch_ref_path(&self, instance: Option<&str>, name: &str) -> String {
-        if let Some(inst) = instance {
-            if let Ok(Some(iid)) = self.symbols.instance_by_name(inst) {
-                if let Ok(Some(rtl)) = self.symbols.resolve_instance_variable(iid, name) {
-                    if self.sim.get_value(&rtl).is_some() {
-                        return rtl;
-                    }
-                }
-            }
-            let scoped = format!("{inst}.{name}");
-            if self.sim.get_value(&scoped).is_some() {
-                return scoped;
-            }
-        }
-        name.to_owned()
-    }
-
-    /// Evaluates a watch expression through its interned references,
-    /// with dynamic resolution as the fallback. Four-state: on a
-    /// four-state backend the result carries unknown planes, so the
-    /// change comparison sees X→known transitions.
-    fn eval_watch(&self, watch: &Watch) -> Result<Bits4, DebugError> {
-        let sim = &self.sim;
-        watch
-            .expr
-            .eval(&|name: &str| {
-                if let Some(r) = watch.refs.iter().find(|r| r.name == name) {
-                    if let Some(id) = r.id {
-                        if let Some(v) = sim.get_value4_by_id(id) {
-                            return Some(v);
-                        }
-                    }
-                    if let Some(v) = sim.get_value4(&r.path) {
-                        return Some(v);
-                    }
-                }
-                self.resolve_name(watch.instance.as_deref(), name)
-            })
-            .map_err(DebugError::from)
-    }
-
     /// Re-evaluates every watchpoint against the post-edge state and
     /// returns the ones whose value changed, updating baselines and
     /// hit counts. Evaluation errors are recorded once per watchpoint
-    /// in [`Runtime::diagnostics`], not raised.
-    ///
-    /// This sits on the continue hot loop (once per clock edge), so it
-    /// must not allocate when nothing fires: the map is temporarily
-    /// moved out of `self` (O(1), no allocation) to iterate it mutably
-    /// while evaluating through `&self`.
+    /// in [`Runtime::diagnostics`], not raised. This sits on the
+    /// continue hot loop (once per clock edge) and allocates nothing
+    /// when nothing fires.
     fn check_watchpoints(&mut self) -> Vec<WatchHit> {
-        if self.watchpoints.is_empty() {
-            return Vec::new();
-        }
-        let mut watchpoints = std::mem::take(&mut self.watchpoints);
-        // The map is moved out of `self` for the duration of the walk;
-        // a panic inside expression evaluation (a simulator bug, an
-        // injected fault) would otherwise silently discard *every*
-        // session's watchpoints. Catch, restore, re-raise.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut hits = Vec::new();
-            for (id, watch) in watchpoints.iter_mut() {
-                match self.eval_watch(watch) {
-                    Ok(value) => {
-                        if value != watch.last {
-                            hits.push(WatchHit {
-                                id: *id,
-                                owner: watch.owner,
-                                expr: watch.expr_text.clone(),
-                                old: watch.last.clone(),
-                                new: value.clone(),
-                            });
-                            watch.last = value;
-                            watch.hit_count += 1;
-                        }
+        let mut hits = Vec::new();
+        for (id, watch) in self.watchpoints.iter_mut() {
+            match watch.eval(&self.sim) {
+                Ok(value) => {
+                    if value != watch.last {
+                        hits.push(WatchHit {
+                            id: *id,
+                            owner: watch.owner,
+                            expr: watch.expr_text.clone(),
+                            old: watch.last.clone(),
+                            new: value.clone(),
+                        });
+                        watch.last = value;
+                        watch.hit_count += 1;
                     }
-                    Err(e) => {
-                        if !watch.error_reported {
-                            watch.error_reported = true;
-                            self.diagnostics
-                                .push(format!("watchpoint {id} ({}): {e}", watch.expr_text));
-                        }
+                }
+                Err(e) => {
+                    if !watch.error_reported {
+                        watch.error_reported = true;
+                        self.diagnostics
+                            .push(format!("watchpoint {id} ({}): {e}", watch.expr_text));
                     }
                 }
             }
-            hits
-        }));
-        self.watchpoints = watchpoints;
-        match result {
-            Ok(hits) => hits,
-            Err(payload) => std::panic::resume_unwind(payload),
         }
-    }
-
-    /// Resolves a name in an instance context: scoped locals are the
-    /// caller's responsibility (they come from frames); this resolves
-    /// generator variables, then instance-relative RTL paths, then
-    /// absolute paths. Four-state (fully known on two-state backends).
-    fn resolve_name(&self, instance: Option<&str>, name: &str) -> Option<Bits4> {
-        if let Some(inst) = instance {
-            if let Ok(Some(iid)) = self.symbols.instance_by_name(inst) {
-                if let Ok(Some(rtl)) = self.symbols.resolve_instance_variable(iid, name) {
-                    if let Some(v) = self.sim.get_value4(&rtl) {
-                        return Some(v);
-                    }
-                }
-            }
-            if let Some(v) = self.sim.get_value4(&format!("{inst}.{name}")) {
-                return Some(v);
-            }
-        }
-        self.sim.get_value4(name)
+        hits
     }
 
     /// Evaluates a debugger expression in an optional instance
@@ -1176,41 +1120,44 @@ impl<S: SimControl> Runtime<S> {
     /// Parse or resolution failures.
     pub fn eval(&self, instance: Option<&str>, text: &str) -> Result<Bits4, DebugError> {
         let expr = DebugExpr::parse(text)?;
-        expr.eval(&|name| self.resolve_name(instance, name))
+        let refs = intern_refs(&self.sim, &self.symbols, instance, &expr);
+        expr.eval(&|name| read_ref(&self.sim, &refs, name))
             .map_err(DebugError::from)
     }
 
     /// Sets a source-level variable or RTL signal (§3.3 optional
-    /// primitive 5; rejected by trace backends).
+    /// primitive 5; rejected by trace backends). The name resolves like
+    /// any other debugger name (see the module docs' *Name
+    /// resolution*); the first candidate the backend interns is
+    /// written.
     ///
     /// # Errors
     ///
-    /// Resolution or writability failures.
+    /// [`DebugError::NoSuchInstance`] for an unknown instance;
+    /// resolution or writability failures.
     pub fn set_variable(
         &mut self,
         instance: Option<&str>,
         name: &str,
         value: Bits,
     ) -> Result<(), DebugError> {
-        // Resolve to a full RTL path first.
-        let mut target = name.to_owned();
-        if let Some(inst) = instance {
-            let iid = self
-                .symbols
-                .instance_by_name(inst)
-                .map_err(|e| DebugError::Symbols(e.to_string()))?
-                .ok_or_else(|| DebugError::NoSuchInstance(inst.to_owned()))?;
-            if let Some(rtl) = self
-                .symbols
-                .resolve_instance_variable(iid, name)
-                .map_err(|e| DebugError::Symbols(e.to_string()))?
-            {
-                target = rtl;
-            } else {
-                target = format!("{inst}.{name}");
-            }
-        }
-        self.sim.set_value(&target, value).map_err(DebugError::from)
+        let iid = match instance {
+            Some(inst) => Some(
+                self.symbols
+                    .instance_by_name(inst)
+                    .map_err(|e| DebugError::Symbols(e.to_string()))?
+                    .ok_or_else(|| DebugError::NoSuchInstance(inst.to_owned()))?,
+            ),
+            None => None,
+        };
+        let target = NameRef::intern(&self.sim, &self.symbols, instance, iid, name.to_owned());
+        let id = target.candidates[0].ok_or_else(|| {
+            SimError::UnknownSignal(match instance {
+                Some(inst) => format!("{inst}.{name}"),
+                None => name.to_owned(),
+            })
+        })?;
+        self.sim.set_value(id, value).map_err(DebugError::from)
     }
 
     /// Evaluates one group; returns frames for every matching
@@ -1240,15 +1187,15 @@ impl<S: SimControl> Runtime<S> {
             // nothing: the closures capture only `sim` and the
             // breakpoint's own interned tables.
             let sim = &self.sim;
-            let prefix: &str = &st.info.instance_name;
             // Enable condition (§3.1): statement must be active this
             // cycle. Names were interned at attach time. Truthiness is
             // four-state: an enable that evaluates to x (unresolved
             // control pre-reset) is *not* active — stopping on a
             // statement that may not execute would be a false positive.
-            let enable_result = st.enable.as_ref().map(|enable| {
-                enable.eval(&|name: &str| resolve_name_fast(sim, prefix, &st.enable_lookups, name))
-            });
+            let enable_result = st
+                .enable
+                .as_ref()
+                .map(|enable| enable.eval(&|name: &str| read_ref(sim, &st.enable_refs, name)));
             match enable_result {
                 None => {}
                 Some(Ok(v)) if v.is_truthy_known() => {}
@@ -1279,20 +1226,20 @@ impl<S: SimControl> Runtime<S> {
                         // is_truthy_known: a condition that evaluates
                         // to x (e.g. `count == 8'hff` over an unreset
                         // register) does not stop the run.
-                        Some(cond) => match cond.eval(&|name: &str| {
-                            resolve_name_fast(sim, prefix, &ins.cond_lookups, name)
-                        }) {
-                            Ok(v) if v.is_truthy_known() => matched_owners.push(*owner),
-                            Ok(_) => {}
-                            Err(e) => {
-                                if !ins.cond_error_reported {
-                                    erroring.push((
-                                        *owner,
-                                        format!("breakpoint {bp_id}: condition: {e}"),
-                                    ));
+                        Some(cond) => {
+                            match cond.eval(&|name: &str| read_ref(sim, &ins.cond_refs, name)) {
+                                Ok(v) if v.is_truthy_known() => matched_owners.push(*owner),
+                                Ok(_) => {}
+                                Err(e) => {
+                                    if !ins.cond_error_reported {
+                                        erroring.push((
+                                            *owner,
+                                            format!("breakpoint {bp_id}: condition: {e}"),
+                                        ));
+                                    }
                                 }
                             }
-                        },
+                        }
                     }
                 }
                 // Record each broken condition once, not once per
@@ -1342,7 +1289,7 @@ impl<S: SimControl> Runtime<S> {
         let locals: Vec<(String, Option<Bits4>)> = scope
             .into_iter()
             .map(|(name, rtl)| {
-                let v = self.sim.get_value4(&rtl);
+                let v = read_path(&self.sim, &rtl);
                 (name, v)
             })
             .collect();
@@ -1356,7 +1303,7 @@ impl<S: SimControl> Runtime<S> {
                 let pairs: Vec<(String, Option<Bits4>)> = vars
                     .into_iter()
                     .map(|(name, rtl)| {
-                        let v = self.sim.get_value4(&rtl);
+                        let v = read_path(&self.sim, &rtl);
                         (name, v)
                     })
                     .collect();
@@ -1379,7 +1326,7 @@ impl<S: SimControl> Runtime<S> {
         group_index: usize,
         hits: Vec<Frame>,
         sessions: Vec<SessionId>,
-    ) -> RunOutcome {
+    ) -> StopEvent {
         self.scheduler.stop_at(group_index);
         let g = &self.scheduler.groups()[group_index];
         let event = StopEvent {
@@ -1393,11 +1340,11 @@ impl<S: SimControl> Runtime<S> {
             reason: StopKind::Breakpoint,
         };
         self.stopped = Some(event.clone());
-        RunOutcome::Stopped(event)
+        event
     }
 
     /// Builds and records the stop for a set of watchpoint firings.
-    fn stop_watch(&mut self, watch_hits: Vec<WatchHit>) -> RunOutcome {
+    fn stop_watch(&mut self, watch_hits: Vec<WatchHit>) -> StopEvent {
         let mut sessions: Vec<SessionId> = watch_hits.iter().map(|h| h.owner).collect();
         sessions.sort_unstable();
         sessions.dedup();
@@ -1412,7 +1359,24 @@ impl<S: SimControl> Runtime<S> {
             reason: StopKind::Watchpoint,
         };
         self.stopped = Some(event.clone());
-        RunOutcome::Stopped(event)
+        event
+    }
+
+    /// Bookkeeping after every forward clock edge of a run: a fresh
+    /// cycle cursor, no current stop, and the watchpoint check — the
+    /// "evaluation points" of §3 are rising clock edges, where register
+    /// state is stable. Returns the watchpoint stop when a watched
+    /// value changed across the edge; otherwise takes the interval
+    /// checkpoint.
+    fn after_edge(&mut self) -> Option<StopEvent> {
+        self.scheduler.reset_cycle();
+        self.stopped = None;
+        let watch_hits = self.check_watchpoints();
+        if !watch_hits.is_empty() {
+            return Some(self.stop_watch(watch_hits));
+        }
+        self.maybe_auto_checkpoint();
+        None
     }
 
     /// Builds a *control* stop event (interrupt, budget exhaustion, or
@@ -1553,10 +1517,7 @@ impl<S: SimControl> Runtime<S> {
                     }
                     let (hits, sessions) = self.eval_group(gi, true);
                     if !hits.is_empty() {
-                        let RunOutcome::Stopped(event) = self.stop(gi, hits, sessions) else {
-                            unreachable!("stop always yields Stopped");
-                        };
-                        return Ok(SliceOutcome::Stopped(event));
+                        return Ok(SliceOutcome::Stopped(self.stop(gi, hits, sessions)));
                     }
                     self.scheduler.stop_at(gi);
                 }
@@ -1581,19 +1542,9 @@ impl<S: SimControl> Runtime<S> {
                 });
             }
             cycles += 1;
-            self.scheduler.reset_cycle();
-            self.stopped = None;
-            // Watchpoints compare values across the edge that just
-            // happened — the "evaluation points" of §3 are rising
-            // clock edges, where register state is stable.
-            let watch_hits = self.check_watchpoints();
-            if !watch_hits.is_empty() {
-                let RunOutcome::Stopped(event) = self.stop_watch(watch_hits) else {
-                    unreachable!("stop_watch always yields Stopped");
-                };
+            if let Some(event) = self.after_edge() {
                 return Ok(SliceOutcome::Stopped(event));
             }
-            self.maybe_auto_checkpoint();
         }
     }
 
@@ -1601,7 +1552,9 @@ impl<S: SimControl> Runtime<S> {
     /// breakpoint whose enable holds), crossing cycle boundaries as
     /// needed, up to `max_cycles`. Stepping ignores user breakpoint
     /// conditions — it visits every active statement, whoever
-    /// instrumented it.
+    /// instrumented it. Watchpoints are checked at every edge a step
+    /// crosses, as in [`Runtime::continue_run`]: a change stops the
+    /// step with reason [`StopKind::Watchpoint`].
     ///
     /// # Errors
     ///
@@ -1613,7 +1566,7 @@ impl<S: SimControl> Runtime<S> {
             for gi in self.scheduler.remaining_forward() {
                 let (hits, sessions) = self.eval_group(gi, false);
                 if !hits.is_empty() {
-                    return Ok(self.stop(gi, hits, sessions));
+                    return Ok(RunOutcome::Stopped(self.stop(gi, hits, sessions)));
                 }
                 self.scheduler.stop_at(gi);
             }
@@ -1632,9 +1585,9 @@ impl<S: SimControl> Runtime<S> {
                 });
             }
             cycles += 1;
-            self.scheduler.reset_cycle();
-            self.stopped = None;
-            self.maybe_auto_checkpoint();
+            if let Some(event) = self.after_edge() {
+                return Ok(RunOutcome::Stopped(event));
+            }
         }
     }
 
@@ -1643,7 +1596,8 @@ impl<S: SimControl> Runtime<S> {
     /// (intra-cycle reverse debugging, available on any backend), then
     /// across cycles — natively when the backend supports reversing
     /// time (§3.2), otherwise by restoring the nearest checkpoint and
-    /// replaying forward to the previous cycle.
+    /// replaying forward to the previous cycle. Either way, watchpoint
+    /// baselines are re-read at the cycle it lands on.
     ///
     /// # Errors
     ///
@@ -1657,7 +1611,7 @@ impl<S: SimControl> Runtime<S> {
             for gi in self.scheduler.remaining_backward() {
                 let (hits, sessions) = self.eval_group(gi, false);
                 if !hits.is_empty() {
-                    return Ok(self.stop(gi, hits, sessions));
+                    return Ok(RunOutcome::Stopped(self.stop(gi, hits, sessions)));
                 }
                 self.scheduler.stop_at(gi);
             }
@@ -1667,14 +1621,11 @@ impl<S: SimControl> Runtime<S> {
                 self.stopped = None;
                 return Ok(RunOutcome::Finished { time: 0 });
             }
-            if self.sim.supports_reverse() {
-                self.sim.set_time(t - 1)?;
-                if self.sim.time() == t {
-                    self.stopped = None;
-                    return Ok(RunOutcome::Finished { time: t });
-                }
-            } else {
-                self.rewind_raw(t - 1)?;
+            self.rewind_raw(t - 1)?;
+            if self.sim.time() == t {
+                // A trace's first cycle: nothing earlier to land on.
+                self.stopped = None;
+                return Ok(RunOutcome::Finished { time: t });
             }
             self.scheduler.reset_cycle();
             self.stopped = None;
@@ -1767,10 +1718,7 @@ impl<S: SimControl> Runtime<S> {
             if origin >= upper {
                 continue;
             }
-            // Pass 1: count the stops in [origin, upper). The scan
-            // budget evaluates breakpoint groups through cycle upper-1
-            // but never steps *into* `upper` (a watch firing there is
-            // the stop we are reversing away from).
+            // Pass 1: count the stops at times in [origin, upper).
             self.rewind_raw(origin)?;
             self.scheduler.reset_cycle();
             self.stopped = None;
@@ -1797,44 +1745,55 @@ impl<S: SimControl> Runtime<S> {
     }
 
     /// Replays forward from the current cycle, stopping normally at
-    /// breakpoints/watchpoints, until the cycle budget that keeps
-    /// execution strictly below `upper` runs out. With `take_nth =
-    /// None` every stop is resumed through and the total is returned;
-    /// with `Some(n)` the scan halts *at* the nth stop (leaving
-    /// [`Runtime::stopped`] describing it).
+    /// breakpoints/watchpoints, through every cycle whose time is below
+    /// `upper`. With `take_nth = None` every stop is resumed through
+    /// and the total is returned; with `Some(n)` the scan halts *at*
+    /// the nth stop (leaving [`Runtime::stopped`] describing it).
+    ///
+    /// The window is checked at every cycle rather than turned into a
+    /// cycle budget up front: on a trace replay, time is a timestamp,
+    /// not a cycle count, and rewinding to cycle 0 lands on the
+    /// trace's first timestamp, which may already be `upper`. An edge
+    /// that leaves the window ends the scan before its watchpoints are
+    /// checked (a watch firing at `upper` is the stop being reversed
+    /// away from).
     fn scan_forward_stops(
         &mut self,
         upper: u64,
         take_nth: Option<usize>,
     ) -> Result<usize, DebugError> {
         let mut seen = 0usize;
-        loop {
-            // Group evaluation precedes the budget check inside
-            // `continue_slice`, so a budget of upper-1-time scans
-            // groups at cycle upper-1 without stepping into upper.
-            let budget = (upper - 1).saturating_sub(self.sim.time());
-            match self.continue_slice(budget, None)? {
-                SliceOutcome::Stopped(event) => {
-                    debug_assert!(event.time < upper, "scan stop escaped its window");
-                    seen += 1;
-                    if take_nth == Some(seen) {
-                        return Ok(seen);
-                    }
-                }
+        while self.sim.time() < upper {
+            // The rest of this cycle's groups, without stepping.
+            let stop = match self.continue_slice(0, None)? {
+                SliceOutcome::Stopped(event) => Some(event),
                 SliceOutcome::Finished { .. } | SliceOutcome::Expired { .. } => {
-                    return Ok(seen);
+                    if !self.sim.step_clock() || self.sim.time() >= upper {
+                        break;
+                    }
+                    self.after_edge()
+                }
+            };
+            if stop.is_some() {
+                seen += 1;
+                if take_nth == Some(seen) {
+                    break;
                 }
             }
         }
+        Ok(seen)
     }
 
-    /// Advances exactly one clock cycle without breakpoint evaluation
-    /// (testbench-style control).
+    /// Advances exactly one clock cycle without breakpoint or
+    /// watchpoint evaluation (testbench-style control). Watchpoint
+    /// baselines move to the new cycle, so a later continue reports
+    /// only changes made after this call.
     pub fn step_cycle(&mut self) -> bool {
         let advanced = self.sim.step_clock();
         if advanced {
             self.scheduler.reset_cycle();
             self.stopped = None;
+            self.rebaseline_watches();
             self.maybe_auto_checkpoint();
         }
         advanced

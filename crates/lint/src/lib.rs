@@ -449,9 +449,9 @@ pub fn deny_gate(
 }
 
 /// L007 against a *live* session: verifies every symbol-table variable
-/// path resolves through `resolve` (typically `SimControl::get_value`).
-/// Used by the debug service to answer `lint` requests when no
-/// compile-time report was recorded.
+/// path resolves through `resolve` (typically a `SimControl` lookup
+/// and read). Used by the debug service to answer `lint` requests
+/// when no compile-time report was recorded.
 pub fn symbol_coverage_live<'a>(
     paths: impl IntoIterator<Item = &'a str>,
     resolve: &dyn Fn(&str) -> bool,

@@ -48,11 +48,10 @@ impl std::error::Error for SimError {}
 /// Interned handle for a signal path: a dense index into the
 /// backend's flattened signal namespace.
 ///
-/// Hot per-cycle code (breakpoint enable evaluation, trace capture,
-/// benchmark harnesses) resolves each dotted path **once** via
-/// [`SimControl::signal_id`] and thereafter reads values with
-/// [`SimControl::get_value_by_id`], skipping the string hashing a
-/// path-keyed lookup pays on every cycle. Ids are only meaningful for
+/// Every value access goes through one: callers resolve each dotted
+/// path **once** via [`SimControl::signal_id`] and thereafter read and
+/// write by id, so per-cycle code (breakpoint enables, watchpoints,
+/// trace capture) never hashes a string. Ids are only meaningful for
 /// the backend that produced them (and identically-built backends of
 /// the same design).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -127,36 +126,21 @@ impl HierNode {
 /// Implemented by the live simulator (`rtl-sim`) and the VCD replay
 /// engine (`vcd` crate). The hgdb runtime is written solely against
 /// this trait, which is what makes it simulator-agnostic.
+///
+/// Values go through one lookup, one read and one write: a path is
+/// interned once with [`SimControl::signal_id`], and the handle is
+/// then read with [`SimControl::get_value`] and written with
+/// [`SimControl::set_value`]. A backend can only resolve a path it can
+/// intern, so neither has a path-keyed form.
 pub trait SimControl {
-    /// Primitive 1 — get signal value. `None` if the path is unknown
-    /// (or has no recorded value at the current time, for traces).
-    fn get_value(&self, path: &str) -> Option<Bits>;
+    /// Interns a full signal path, or `None` if the backend has no such
+    /// signal.
+    fn signal_id(&self, path: &str) -> Option<SignalId>;
 
-    /// Interns a path for the id-based fast path. Backends without a
-    /// dense namespace may return `None`; callers must then fall back
-    /// to [`SimControl::get_value`].
-    fn signal_id(&self, _path: &str) -> Option<SignalId> {
-        None
-    }
-
-    /// Primitive 1, id form: value of a signal previously interned
-    /// with [`SimControl::signal_id`]. `None` when the backend has no
-    /// id support or no value at the current time.
-    fn get_value_by_id(&self, _id: SignalId) -> Option<Bits> {
-        None
-    }
-
-    /// Primitive 1, four-state form: the value with its unknown plane.
-    /// The default wraps [`SimControl::get_value`] as fully known;
-    /// four-state backends override it to surface X/Z bits.
-    fn get_value4(&self, path: &str) -> Option<Bits4> {
-        self.get_value(path).map(Bits4::known)
-    }
-
-    /// Id form of [`SimControl::get_value4`].
-    fn get_value4_by_id(&self, id: SignalId) -> Option<Bits4> {
-        self.get_value_by_id(id).map(Bits4::known)
-    }
+    /// Primitive 1 — get signal value, four-state: two-state backends
+    /// return every bit known. `None` when the signal has no value at
+    /// the current time, which only a trace replay can report.
+    fn get_value(&self, id: SignalId) -> Option<Bits4>;
 
     /// Primitive 2a — the design hierarchy.
     fn hierarchy(&self) -> HierNode;
@@ -190,8 +174,9 @@ pub trait SimControl {
     ///
     /// # Errors
     ///
-    /// [`SimError::NotWritable`] / [`SimError::UnknownSignal`].
-    fn set_value(&mut self, path: &str, value: Bits) -> Result<(), SimError>;
+    /// [`SimError::NotWritable`], naming the signal's path, when the
+    /// backend cannot write this signal.
+    fn set_value(&mut self, id: SignalId, value: Bits) -> Result<(), SimError>;
 
     /// Whether [`SimControl::set_time`] can move backwards.
     fn supports_reverse(&self) -> bool {

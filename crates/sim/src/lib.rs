@@ -27,10 +27,12 @@
 //! [`Simulator::with_config`] select four-state (X/Z) evaluation.
 //! Per-cycle instrumentation should intern paths once
 //! with [`Simulator::signal_id`] (or [`SimControl::signal_id`] when
-//! written against the trait) and read through [`Simulator::peek_id`] /
-//! [`SimControl::get_value_by_id`] — a dense-index load instead of a
-//! string hash per sample. [`ClockView::get_value_id`] is the same
-//! fast path inside clock callbacks.
+//! written against the trait) and read through [`Simulator::peek_id`]
+//! (two-state) or [`SimControl::get_value`] (four-state) — a
+//! dense-index load instead of a string hash per sample. The trait
+//! has no path-keyed read or write: one lookup, one read, one write.
+//! [`ClockView::get_value_id`] is the same fast path inside clock
+//! callbacks.
 //!
 //! # Examples
 //!

@@ -484,11 +484,6 @@ impl Simulator {
         })
     }
 
-    /// Number of flattened signals.
-    pub fn signal_count(&self) -> usize {
-        self.netlist.names.len()
-    }
-
     /// Interns a full signal path, returning the dense id used by the
     /// `*_id` fast paths. Ids are stable for the simulator's lifetime
     /// (and across simulators built from the same circuit).
@@ -561,7 +556,7 @@ impl Simulator {
 
     /// Id-based [`Simulator::peek`] (no string lookup, no `Result`).
     /// On a four-state simulator this is the value plane (unknown bits
-    /// read as 1); [`Simulator::peek4_id`] carries the unknown plane.
+    /// read as 1); [`SimControl::get_value`] carries the unknown plane.
     ///
     /// # Panics
     ///
@@ -583,23 +578,9 @@ impl Simulator {
     ///
     /// [`SimError::UnknownSignal`] for unknown paths.
     pub fn peek4(&self, path: &str) -> Result<Bits4, SimError> {
-        self.peek_path4(path)
+        self.signal_id(path)
+            .and_then(|id| self.get_value(id))
             .ok_or_else(|| SimError::UnknownSignal(path.to_owned()))
-    }
-
-    /// Id-based [`Simulator::peek4`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id does not come from this design.
-    pub fn peek4_id(&self, id: SignalId) -> Bits4 {
-        self.eval_if_dirty();
-        with_core!(&*self.engine.borrow(), c => c.values[id.index()].to4())
-    }
-
-    fn peek_path4(&self, path: &str) -> Option<Bits4> {
-        let &sig = self.netlist.index.get(path)?;
-        Some(self.peek4_id(SignalId::from_index(sig)))
     }
 
     /// Reads a memory word (debug/testbench convenience; memories are
@@ -708,11 +689,6 @@ impl Simulator {
     /// Width of a signal by id.
     pub fn signal_width_id(&self, id: SignalId) -> u32 {
         self.netlist.widths[id.index()]
-    }
-
-    /// The full path of the implicit reset input.
-    pub fn reset_path(&self) -> &str {
-        &self.netlist.names[self.netlist.reset]
     }
 
     /// The engine configuration this simulator was built with.
@@ -842,24 +818,18 @@ impl std::fmt::Debug for Snapshot {
 }
 
 impl SimControl for Simulator {
-    fn get_value(&self, path: &str) -> Option<Bits> {
-        self.peek_path(path)
-    }
-
     fn signal_id(&self, path: &str) -> Option<SignalId> {
         Simulator::signal_id(self, path)
     }
 
-    fn get_value_by_id(&self, id: SignalId) -> Option<Bits> {
-        Some(self.peek_id(id))
-    }
-
-    fn get_value4(&self, path: &str) -> Option<Bits4> {
-        self.peek_path4(path)
-    }
-
-    fn get_value4_by_id(&self, id: SignalId) -> Option<Bits4> {
-        Some(self.peek4_id(id))
+    /// Always `Some`: a live simulator has a value for every signal.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id does not come from this design.
+    fn get_value(&self, id: SignalId) -> Option<Bits4> {
+        self.eval_if_dirty();
+        Some(with_core!(&*self.engine.borrow(), c => c.values[id.index()].to4()))
     }
 
     fn hierarchy(&self) -> HierNode {
@@ -915,16 +885,18 @@ impl SimControl for Simulator {
         }
     }
 
-    fn set_value(&mut self, path: &str, value: Bits) -> Result<(), SimError> {
-        let &sig = self
-            .netlist
-            .index
-            .get(path)
-            .ok_or_else(|| SimError::UnknownSignal(path.to_owned()))?;
+    /// Writes an input or a register. A register force survives the
+    /// edge already latched at the current stop point.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id does not come from this design.
+    fn set_value(&mut self, id: SignalId, value: Bits) -> Result<(), SimError> {
+        let sig = id.index();
         let is_input = self.netlist.is_input[sig];
         let is_reg = self.netlist.is_reg[sig];
         if !is_input && !is_reg {
-            return Err(SimError::NotWritable(path.to_owned()));
+            return Err(SimError::NotWritable(self.netlist.names[sig].clone()));
         }
         let value = value.resize(self.netlist.widths[sig]);
         self.poke_sig(sig, value.clone());
@@ -1072,7 +1044,10 @@ mod tests {
             Err(SimError::NotWritable(_))
         ));
         // Trait surface agrees.
-        assert_eq!(SimControl::get_value_by_id(&sim, out).unwrap().to_u64(), 42);
+        assert_eq!(
+            SimControl::get_value(&sim, out).unwrap(),
+            Bits4::known(Bits::from_u64(42, 8))
+        );
         assert_eq!(SimControl::signal_id(&sim, "adder.out"), Some(out));
     }
 
@@ -1303,12 +1278,13 @@ mod tests {
     fn set_value_can_force_registers() {
         let mut sim = counter_sim();
         sim.poke("counter.en", Bits::from_bool(false)).unwrap();
-        sim.set_value("counter.count", Bits::from_u64(99, 8))
-            .unwrap();
+        let count = sim.signal_id("counter.count").unwrap();
+        sim.set_value(count, Bits::from_u64(99, 8)).unwrap();
         assert_eq!(sim.peek("counter.out").unwrap().to_u64(), 99);
-        // Comb nodes are not writable.
-        let comb_err = sim.set_value("counter.out", Bits::from_u64(1, 8));
-        assert!(matches!(comb_err, Err(SimError::NotWritable(_))));
+        // Comb nodes are not writable, and the error names the path.
+        let out = sim.signal_id("counter.out").unwrap();
+        let comb_err = sim.set_value(out, Bits::from_u64(1, 8));
+        assert_eq!(comb_err, Err(SimError::NotWritable("counter.out".into())));
     }
 
     #[test]
@@ -1595,7 +1571,8 @@ mod tests {
             "X must survive reset when the register has no init"
         );
         // A debugger force resolves it; from there on it stays known.
-        sim.set_value("buggy.r", Bits::from_u64(10, 8)).unwrap();
+        let r = sim.signal_id("buggy.r").unwrap();
+        sim.set_value(r, Bits::from_u64(10, 8)).unwrap();
         sim.step_clock();
         assert_eq!(
             sim.peek4("buggy.r").unwrap().to_known().unwrap().to_u64(),

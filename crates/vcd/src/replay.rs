@@ -7,7 +7,7 @@
 //! full reverse debugging — "go to previous clock cycle and start
 //! breakpoint selection in reversed order again" (§3.2).
 
-use bits::Bits;
+use bits::{Bits, Bits4};
 use rtl_sim::{HierNode, SignalId, SimControl, SimError};
 
 use crate::trace::Trace;
@@ -51,18 +51,15 @@ impl ReplaySim {
 }
 
 impl SimControl for ReplaySim {
-    fn get_value(&self, path: &str) -> Option<Bits> {
-        let t = self.current_timestamp()?;
-        self.trace.value_of(path, t)
-    }
-
     fn signal_id(&self, path: &str) -> Option<SignalId> {
         self.trace.signal_index(path).map(SignalId::from_index)
     }
 
-    fn get_value_by_id(&self, id: SignalId) -> Option<Bits> {
+    /// `None` before the first cycle and before the signal's first
+    /// recorded change.
+    fn get_value(&self, id: SignalId) -> Option<Bits4> {
         let t = self.current_timestamp()?;
-        self.trace.value_at(id.index(), t)
+        self.trace.value_at(id.index(), t).map(Bits4::known)
     }
 
     fn hierarchy(&self) -> HierNode {
@@ -109,9 +106,11 @@ impl SimControl for ReplaySim {
         Ok(())
     }
 
-    fn set_value(&mut self, path: &str, _value: Bits) -> Result<(), SimError> {
+    fn set_value(&mut self, id: SignalId, _value: Bits) -> Result<(), SimError> {
         // "not possible when interfacing with a trace file" (§3.3).
-        Err(SimError::NotWritable(path.to_owned()))
+        Err(SimError::NotWritable(
+            self.trace.signal_names()[id.index()].clone(),
+        ))
     }
 
     fn supports_reverse(&self) -> bool {
@@ -197,62 +196,70 @@ mod tests {
         t
     }
 
+    /// The known value of `path` at the replay's current time.
+    fn value(r: &ReplaySim, path: &str) -> Option<u64> {
+        let id = r.signal_id(path)?;
+        Some(r.get_value(id)?.to_known()?.to_u64())
+    }
+
     #[test]
     fn forward_stepping() {
         let mut r = ReplaySim::new(sample_trace());
         assert!(r.cycle().is_none());
         assert!(r.step_clock());
         assert_eq!(r.cycle(), Some(0));
-        assert_eq!(r.get_value("top.count").unwrap().to_u64(), 0);
+        assert_eq!(value(&r, "top.count").unwrap(), 0);
         assert!(r.step_clock());
-        assert_eq!(r.get_value("top.count").unwrap().to_u64(), 1);
+        assert_eq!(value(&r, "top.count").unwrap(), 1);
         // Held value from cycle 0.
-        assert_eq!(r.get_value("top.u0.sum").unwrap().to_u64(), 0);
+        assert_eq!(value(&r, "top.u0.sum").unwrap(), 0);
         for _ in 0..3 {
             assert!(r.step_clock());
         }
         assert!(!r.step_clock(), "past end");
-        assert_eq!(r.get_value("top.count").unwrap().to_u64(), 4);
+        assert_eq!(value(&r, "top.count").unwrap(), 4);
     }
 
     #[test]
     fn reverse_time_travel() {
         let mut r = ReplaySim::new(sample_trace());
         r.set_time(40).unwrap();
-        assert_eq!(r.get_value("top.count").unwrap().to_u64(), 4);
+        assert_eq!(value(&r, "top.count").unwrap(), 4);
         r.set_time(10).unwrap();
-        assert_eq!(r.get_value("top.count").unwrap().to_u64(), 1);
+        assert_eq!(value(&r, "top.count").unwrap(), 1);
         // Snaps down to the nearest edge.
         r.set_time(25).unwrap();
-        assert_eq!(r.get_value("top.count").unwrap().to_u64(), 2);
+        assert_eq!(value(&r, "top.count").unwrap(), 2);
         // Before the first edge clamps to cycle 0.
         r.set_time(0).unwrap();
-        assert_eq!(r.get_value("top.count").unwrap().to_u64(), 0);
+        assert_eq!(value(&r, "top.count").unwrap(), 0);
         assert!(r.supports_reverse());
     }
 
     #[test]
     fn id_based_lookup_matches_paths() {
         let mut r = ReplaySim::new(sample_trace());
-        let count = SimControl::signal_id(&r, "top.count").unwrap();
-        assert!(SimControl::signal_id(&r, "top.ghost").is_none());
+        let count = r.signal_id("top.count").unwrap();
+        assert!(r.signal_id("top.ghost").is_none());
+        assert_eq!(r.get_value(count), None, "no value before the first cycle");
         r.set_time(30).unwrap();
         assert_eq!(
-            r.get_value_by_id(count),
-            r.get_value("top.count"),
+            r.get_value(count),
+            r.trace().value_of("top.count", 30).map(Bits4::known),
             "id and path reads disagree"
         );
-        assert_eq!(r.get_value_by_id(count).unwrap().to_u64(), 3);
+        assert_eq!(r.get_value(count), Some(Bits4::known(Bits::from_u64(3, 8))));
     }
 
     #[test]
     fn set_value_rejected() {
         let mut r = ReplaySim::new(sample_trace());
         r.step_clock();
-        assert!(matches!(
-            r.set_value("top.count", Bits::from_u64(9, 8)),
-            Err(SimError::NotWritable(_))
-        ));
+        let count = r.signal_id("top.count").unwrap();
+        assert_eq!(
+            r.set_value(count, Bits::from_u64(9, 8)),
+            Err(SimError::NotWritable("top.count".into()))
+        );
     }
 
     #[test]

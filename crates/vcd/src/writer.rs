@@ -157,7 +157,9 @@ impl<W: Write> Recorder<W> {
         writeln!(self.out, "#{rise}")?;
         writeln!(self.out, "1{}", self.clock_id)?;
         for (i, &sid) in self.sig_ids.iter().enumerate() {
-            let v = sim.peek4_id(sid);
+            let v = sim
+                .get_value(sid)
+                .expect("a live simulator has every value");
             if self.last[i].as_ref() == Some(&v) {
                 continue;
             }

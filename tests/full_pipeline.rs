@@ -201,3 +201,55 @@ fn symbol_table_json_round_trips_through_runtime() {
         RunOutcome::Stopped(_)
     ));
 }
+
+#[test]
+fn condition_resolves_a_cse_merged_generator_variable() {
+    // Two structurally identical nodes: a release build's CSE merges
+    // `b` into `a`, so the generator variable `b` maps to `top.a` and
+    // `top.b` does not exist. A condition must resolve `b` the same
+    // way `eval` does.
+    let mut cb = CircuitBuilder::new();
+    let bp_line = line!() + 6;
+    cb.module("top", |m| {
+        let out = m.output("out", 8);
+        let count = m.reg("count", 8, Some(0));
+        let a = m.node("a", count.sig() + m.lit(1, 8));
+        let b = m.node("b", count.sig() + m.lit(1, 8));
+        m.assign(&out, a ^ b.clone());
+        m.assign(&count, b);
+    });
+    let circuit = cb.finish("top").unwrap();
+    let mut state = hgf_ir::CircuitState::new(circuit);
+    let table = hgf_ir::passes::compile(&mut state, false).unwrap();
+    let symbols = symtab::from_debug_table(&state.circuit, &table).unwrap();
+    let sim = Simulator::new(&state.circuit).unwrap();
+    assert!(sim.signal_id("top.b").is_none(), "CSE removed top.b");
+    let eval_b = |dbg: &Runtime<Simulator>| {
+        dbg.eval(Some("top"), "b")
+            .unwrap()
+            .to_known()
+            .unwrap()
+            .to_u64()
+    };
+
+    // The cycle at which `eval b` first reads 5.
+    let mut probe =
+        Runtime::attach(Simulator::new(&state.circuit).unwrap(), symbols.clone()).unwrap();
+    while eval_b(&probe) != 5 {
+        assert!(probe.time() < 50, "b never reads 5");
+        probe.step_cycle();
+    }
+
+    let mut dbg = Runtime::attach(sim, symbols).unwrap();
+    dbg.insert_breakpoint(file!(), bp_line, None, Some("b == 5"))
+        .unwrap();
+    match dbg.continue_run(Some(50)).unwrap() {
+        RunOutcome::Stopped(event) => {
+            assert_eq!(event.hits.len(), 1);
+            assert_eq!(event.time, probe.time());
+        }
+        other => panic!("condition never held: {other:?} {:?}", dbg.diagnostics()),
+    }
+    assert_eq!(eval_b(&dbg), 5);
+    assert!(dbg.diagnostics().is_empty(), "{:?}", dbg.diagnostics());
+}

@@ -3,8 +3,11 @@
 //! bounded outbound queues with `Lagged` notifications.
 
 use hgdb::protocol::Request;
-use hgdb::{channel_pair, outbound_queue, serve, DebugClient, DebugService, Outbound, Runtime};
-use rtl_sim::Simulator;
+use hgdb::{
+    channel_pair, outbound_queue, serve, DebugClient, DebugService, Outbound, RunOutcome, Runtime,
+    StopKind,
+};
+use rtl_sim::{SimControl, Simulator};
 
 /// A saturating counter (stops at 100), like the other suites use.
 fn build_counter() -> (Simulator, symtab::SymbolTable, u32) {
@@ -433,4 +436,103 @@ fn lagged_session_keeps_its_replies() {
     handle.close_session(viewer);
     driver.detach().unwrap();
     let _ = service.shutdown();
+}
+
+/// The value of `top.count` as the debugger sees it.
+fn count_of<S: SimControl>(dbg: &Runtime<S>) -> u64 {
+    dbg.eval(Some("top"), "count")
+        .unwrap()
+        .to_known()
+        .unwrap()
+        .to_u64()
+}
+
+/// The watch hit of a watchpoint stop as `(old, new)`.
+fn watch_change(outcome: &RunOutcome) -> Option<(u64, u64)> {
+    match outcome {
+        RunOutcome::Stopped(event) if event.reason == StopKind::Watchpoint => {
+            let hit = &event.watch_hits[0];
+            Some((
+                hit.old.to_known().unwrap().to_u64(),
+                hit.new.to_known().unwrap().to_u64(),
+            ))
+        }
+        _ => None,
+    }
+}
+
+/// `step_cycle` evaluates no watchpoint but moves its baseline: after
+/// the counter saturates, a continue sees no change to report.
+#[test]
+fn step_cycle_refreshes_watch_baselines() {
+    let (sim, symbols, _) = build_counter();
+    let mut dbg = Runtime::attach(sim, symbols).unwrap();
+    dbg.insert_watchpoint(Some("top"), "count").unwrap();
+    for _ in 0..150 {
+        assert!(dbg.step_cycle());
+    }
+    assert_eq!(count_of(&dbg), 100);
+    assert_eq!(dbg.watchpoints()[0].value.to_known().unwrap().to_u64(), 100);
+    let outcome = dbg.continue_run(Some(10)).unwrap();
+    assert!(
+        matches!(outcome, RunOutcome::Finished { .. }),
+        "spurious stop: {outcome:?}"
+    );
+}
+
+/// `step` checks watchpoints at every edge it crosses: it stops with
+/// reason `watchpoint` on each change, and the baseline it leaves is
+/// the value a later continue compares against.
+#[test]
+fn step_stops_on_watchpoints_across_edges() {
+    let (sim, symbols, _) = build_counter();
+    let mut dbg = Runtime::attach(sim, symbols).unwrap();
+    dbg.insert_watchpoint(Some("top"), "count").unwrap();
+    let mut watch_stops = 0;
+    for _ in 0..150 {
+        let outcome = dbg.step(Some(1)).unwrap();
+        if let Some((old, new)) = watch_change(&outcome) {
+            assert_eq!(new, old + 1, "one edge, one increment");
+            assert_eq!(new, count_of(&dbg));
+            watch_stops += 1;
+        }
+    }
+    assert!(watch_stops > 0, "step never stopped on the watch");
+    let before = count_of(&dbg);
+    assert!(before < 100, "the counter is still counting");
+    let outcome = dbg.continue_run(Some(10)).unwrap();
+    assert_eq!(watch_change(&outcome), Some((before, before + 1)));
+}
+
+/// A native reverse step (trace replay) re-reads watch baselines at
+/// the cycle it lands on, so the next forward edge's change fires.
+#[test]
+fn replay_reverse_step_refreshes_watch_baselines() {
+    let (mut sim, symbols, _) = build_counter();
+    let mut text = Vec::new();
+    {
+        let mut rec = vcd::Recorder::new(&sim, &mut text).unwrap();
+        for _ in 0..20 {
+            sim.step_clock();
+            rec.sample(&sim).unwrap();
+        }
+        rec.finish().unwrap();
+    }
+    let trace = vcd::parse(std::str::from_utf8(&text).unwrap()).unwrap();
+    let mut dbg = Runtime::attach(vcd::ReplaySim::new(trace), symbols).unwrap();
+    assert!(dbg.step_cycle());
+    dbg.insert_watchpoint(Some("top"), "count").unwrap();
+    while count_of(&dbg) < 9 {
+        let outcome = dbg.continue_run(Some(5)).unwrap();
+        assert!(watch_change(&outcome).is_some(), "{outcome:?}");
+    }
+    while count_of(&dbg) == 9 {
+        assert!(matches!(
+            dbg.reverse_step().unwrap(),
+            RunOutcome::Stopped(_)
+        ));
+    }
+    assert_eq!(count_of(&dbg), 8);
+    let outcome = dbg.continue_run(Some(5)).unwrap();
+    assert_eq!(watch_change(&outcome), Some((8, 9)));
 }
